@@ -1,7 +1,8 @@
 // Serving-latency bench: the online serving layer under a deterministic
 // asynchronous arrival trace.
 //
-// A serve::InferenceServer (continuous batching over the live pool) is
+// A one-model, one-worker serve::ServingFleet (continuous batching over the
+// live pool) is
 // driven by a seeded Poisson arrival trace (util::make_arrival_trace — the
 // workload *shape* never touches wall-clock randomness, so every run replays
 // the identical request sequence). For each entropy threshold the bench
@@ -27,7 +28,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "serve/server.h"
+#include "serve/fleet.h"
 #include "util/arrival_trace.h"
 #include "util/gemm.h"
 
@@ -36,36 +37,40 @@ using namespace dtsnn;
 namespace {
 
 struct ServingRun {
-  serve::ServerStats stats;
+  serve::FleetStats stats;
   std::vector<core::InferenceResult> results;  ///< one per arrival, trace order
   double wall_seconds = 0.0;
   double throughput_sps = 0.0;
   double accuracy = 0.0;
 };
 
-/// Replay `trace` against a fresh server and gather per-arrival results.
+/// Replay `trace` against a fresh fleet and gather per-arrival results.
 ServingRun replay_trace(snn::SpikingNetwork& net, const data::Dataset& ds,
                         const core::ExitPolicy& policy, std::size_t timesteps,
                         const std::vector<util::Arrival>& trace) {
-  serve::ServerConfig config;
-  config.max_pool = 8;
+  serve::FleetModel model;
+  model.network = &net;
+  model.dataset = &ds;
+  model.default_policy = &policy;
+  model.max_timesteps = timesteps;
+  model.max_pool = 8;
   ServingRun run;
   std::vector<std::future<std::vector<core::InferenceResult>>> futures;
   futures.reserve(trace.size());
 
   const auto t0 = serve::ServeClock::now();
   {
-    serve::InferenceServer server(net, ds, policy, timesteps, config);
+    serve::ServingFleet fleet({model});
     for (const util::Arrival& a : trace) {
       std::this_thread::sleep_until(t0 + std::chrono::microseconds(a.offset_us));
-      serve::ServeRequest req;
+      serve::FleetRequest req;
       req.request.samples.push_back(a.sample);
-      futures.push_back(server.submit(std::move(req)));
+      futures.push_back(fleet.submit(std::move(req)).results);
     }
-    server.drain();
+    fleet.drain();
     run.wall_seconds =
         std::chrono::duration<double>(serve::ServeClock::now() - t0).count();
-    run.stats = server.stats();
+    run.stats = fleet.stats();
   }
 
   std::size_t correct = 0;

@@ -52,6 +52,14 @@ with file:line diagnostics and a nonzero exit code on any finding:
                       silently turns a portable TU into one that needs the flag,
                       crashing on non-AVX-512 hosts that never dispatch it.
 
+  live-pool           One stepping core: core::LivePool (src/core/live_pool.cpp)
+                      is the only code that reconciles a network's single-step
+                      LIF state between timesteps. A compact_inference_state(
+                      call anywhere else is a second copy of the
+                      encode → step → decide → compact loop whose row
+                      bookkeeping can drift from the oracle-checked one.
+                      src/snn/ (the definitions) and tests/ are exempt.
+
   quant-bitwise-oracle  The quantized GEMM tier (int8_spike / int4_spike) is
                       tolerance-gated, not bitwise (util/gemm.h): comparing
                       its floats bitwise against the scalar_ref oracle with
@@ -107,6 +115,8 @@ RULE_DESCRIPTIONS = {
     "bench-report": "every bench/*.cpp must emit through bench::BenchReport",
     "avx512-isolation": "AVX-512 intrinsics only inside src/util/gemm_avx512.cpp "
                         "(the one TU built with -mavx512f -ffp-contract=off)",
+    "live-pool": "compact_inference_state( only inside src/core/live_pool.cpp "
+                 "(src/snn/ and tests/ exempt)",
     "quant-bitwise-oracle": "quantized-tier tests must not EXPECT_EQ floats "
                             "against the scalar_ref oracle (tolerance gate "
                             "via core::compare_decisions / EXPECT_NEAR)",
@@ -187,6 +197,15 @@ AVX512_ISOLATION_PATTERNS = [
             "opmask-register code in the dedicated TU"),
 ]
 AVX512_ISOLATION_ALLOWED = {Path("src/util/gemm_avx512.cpp")}
+
+LIVE_POOL_PATTERNS = [
+    Pattern(r"\bcompact_inference_state\s*\(",
+            "compact_inference_state() outside core::LivePool: drive the live "
+            "pool (src/core/live_pool.h) instead of re-implementing its LIF-state "
+            "reconciliation"),
+]
+LIVE_POOL_ALLOWED = {Path("src/core/live_pool.cpp")}
+LIVE_POOL_EXEMPT_PREFIXES = (("src", "snn"), ("tests",))
 
 QUANT_BITWISE_ORACLE = Pattern(
     r"(EXPECT|ASSERT)_(EQ|FLOAT_EQ|DOUBLE_EQ)\s*\(.*\b(oracle|scalar_ref)",
@@ -317,6 +336,9 @@ def scan_file(path: Path, rel: Path) -> list[Finding]:
         line_rules.append(("avx512-isolation", AVX512_ISOLATION_PATTERNS))
     if rel.parts[:2] != RAW_THREAD_MMAP_ALLOWED_PREFIX:
         line_rules.append(("raw-thread-mmap", RAW_THREAD_MMAP_PATTERNS))
+    if (rel not in LIVE_POOL_ALLOWED
+            and not any(rel.parts[:len(p)] == p for p in LIVE_POOL_EXEMPT_PREFIXES)):
+        line_rules.append(("live-pool", LIVE_POOL_PATTERNS))
     if (rel.parts and rel.parts[0] == QUANT_TEST_DIR
             and QUANT_NAME_MARKER in rel.name.lower()):
         line_rules.append(("quant-bitwise-oracle", [QUANT_BITWISE_ORACLE]))

@@ -53,6 +53,7 @@ EXPECTED_BAD = [
     ("src/serve/fleet_scheduler.cpp", 8, "naked-mutex"),
     ("src/serve/fleet_scheduler.cpp", 11, "raw-thread-mmap"),
     ("src/serve/fleet_scheduler.cpp", 16, "wall-clock"),
+    ("src/core/second_pool.cpp", 9, "live-pool"),
     ("bench/silent_bench.cpp", 1, "bench-report"),
     ("tests/test_quant_gate.cpp", 8, "quant-bitwise-oracle"),
 ]

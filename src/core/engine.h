@@ -169,8 +169,11 @@ class SequentialEngine final : public InferenceEngine {
 /// rule is evaluated per sample each step, finished samples are emitted to
 /// the sink immediately, and their slots are compacted out and refilled
 /// with waiting samples (snn::Layer::compact_state with kFreshRow) so every
-/// step runs as full as the remaining work allows. Decisions, predictions
-/// and entropies are bitwise identical to SequentialEngine.
+/// step runs as full as the remaining work allows. The stepping itself is
+/// core::LivePool (core/live_pool.h); this engine only validates the
+/// request, refills the pool from it, and prefetches the waiting tail.
+/// Decisions, predictions and entropies are bitwise identical to
+/// SequentialEngine.
 class BatchedSequentialEngine final : public InferenceEngine {
  public:
   /// Throws std::invalid_argument when max_timesteps == 0 or batch_size == 0.

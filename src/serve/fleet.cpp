@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
-#include "snn/layer.h"
-#include "snn/loss.h"
 #include "snn/quantize.h"
 #include "snn/serialize.h"
 #include "util/quant.h"
@@ -19,31 +18,6 @@ double elapsed_us(ServeClock::time_point from, ServeClock::time_point to) {
 }
 
 }  // namespace
-
-/// Per-worker loop state: the live pool plus the row-reconciliation
-/// bookkeeping for this worker's network. Touched only by its own thread
-/// (the admission helpers mutate it while holding mu_, but always on
-/// behalf of — and called from — the owning worker).
-struct ServingFleet::Worker {
-  /// One live pool row.
-  struct Slot {
-    std::shared_ptr<Pending> owner;
-    std::size_t request_index = 0;
-    std::size_t sample = 0;
-    std::size_t t = 0;           ///< this sample's current 0-based timestep
-    std::vector<double> acc;     ///< [K] logit accumulators (oracle arithmetic)
-    std::vector<float> history;  ///< cum-logit trajectory when recording
-    TenantId tenant = kDefaultTenant;
-    ServeClock::time_point admitted_at;
-  };
-
-  std::size_t model = 0;
-  std::size_t max_pool = 0;
-  std::vector<Slot> pool;
-  bool active = false;            ///< the net holds single-step state for stepped_rows
-  std::size_t stepped_rows = 0;   ///< rows in the net's current inference state
-  std::vector<std::size_t> keep;  ///< surviving row indices into that state
-};
 
 ServingFleet::ServingFleet(std::vector<FleetModel> models, FleetConfig config)
     : config_(std::move(config)),
@@ -137,7 +111,7 @@ ServingFleet::ServingFleet(std::vector<FleetModel> models, FleetConfig config)
     for (std::size_t w = 0; w < models_[mi].spec.workers; ++w) {
       snn::SpikingNetwork* net =
           w == 0 ? models_[mi].spec.network : models_[mi].replicas[w - 1].get();
-      workers_.push_back(util::Thread([this, mi, w, net] { worker_loop(mi, w, *net); }));
+      workers_.push_back(util::Thread([this, mi, net] { worker_loop(mi, *net); }));
     }
   }
 }
@@ -406,19 +380,19 @@ void ServingFleet::snapshot_counters(
   }
 }
 
-bool ServingFleet::has_admissible(std::size_t model) const {
+AdmissionFilter ServingFleet::admissible(std::size_t model) const {
   const auto& counters = tenant_counters_;
   const TenantRegistry& tenants = tenants_;
-  return scheduler_->any([&counters, &tenants, model](const QueuedSample& u) {
+  return [&counters, &tenants, model](const QueuedSample& u) {
     if (u.model != model) return false;
     const TenantSpec& ts = tenants.spec(u.tenant);
     return ts.max_in_flight == 0 || counters[u.tenant].in_flight < ts.max_in_flight;
-  });
+  };
 }
 
 bool ServingFleet::wait_for_work(util::MutexLock& lk, std::size_t model) {
   while (true) {
-    if (has_admissible(model)) break;
+    if (scheduler_->any(admissible(model))) break;
     if (draining_) {
       // Drained for this worker only when nothing for its model remains
       // queued at all. Quota-blocked units don't end the loop: the pools
@@ -442,59 +416,40 @@ bool ServingFleet::wait_for_work(util::MutexLock& lk, std::size_t model) {
   return true;
 }
 
-void ServingFleet::purge_dead_slots(Worker& w) {
-  if (w.pool.empty()) return;
-  std::size_t dropped = 0;
-  std::size_t dst = 0;
-  for (std::size_t j = 0; j < w.pool.size(); ++j) {
-    Worker::Slot& slot = w.pool[j];
-    const bool failed = slot.owner->failed.load(std::memory_order_acquire);
-    const bool cancelled =
-        !failed && slot.owner->cancelled.load(std::memory_order_acquire);
-    if (failed || cancelled) {
-      // This is the resident half of cancellation: the slot force-exits at
-      // this timestep boundary, its row never steps again. (Failed slots'
-      // results would be discarded anyway — same reclamation.)
-      TenantCounters& tc = tenant_counters_[slot.tenant];
-      --tc.in_flight;
-      if (failed) {
-        ++failed_samples_;
-        ++tc.failed_samples;
-      } else {
-        ++cancelled_live_;
-        ++tc.cancelled_live;
-      }
-      ++dropped;
-      continue;
+std::size_t ServingFleet::purge_dead_slots(Pool& pool) {
+  auto& counters = tenant_counters_;
+  std::size_t failed = 0;
+  std::size_t cancelled = 0;
+  const std::size_t dropped = pool.remove_if([&](const Slot& slot) {
+    const bool is_failed = slot.owner->failed.load(std::memory_order_acquire);
+    if (!is_failed && !slot.owner->cancelled.load(std::memory_order_acquire)) return false;
+    // This is the resident half of cancellation: the row force-exits at this
+    // timestep boundary and never steps again. (Failed rows' results would
+    // be discarded anyway — same reclamation.)
+    TenantCounters& tc = counters[slot.tenant];
+    --tc.in_flight;
+    if (is_failed) {
+      ++failed;
+      ++tc.failed_samples;
+    } else {
+      ++cancelled;
+      ++tc.cancelled_live;
     }
-    if (dst != j) {
-      w.pool[dst] = std::move(w.pool[j]);
-      w.keep[dst] = w.keep[j];
-    }
-    ++dst;
-  }
-  if (dropped > 0) {
-    w.pool.resize(dst);
-    w.keep.resize(dst);
-    live_samples_ -= dropped;
-  }
+    return true;
+  });
+  failed_samples_ += failed;
+  cancelled_live_ += cancelled;
+  live_samples_ -= dropped;
+  return dropped;
 }
 
-std::size_t ServingFleet::admit_waiting(Worker& w,
-                                        std::vector<std::size_t>& admitted_samples,
-                                        std::size_t classes) {
+void ServingFleet::admit_waiting(std::size_t model, Pool& pool,
+                                 std::vector<std::size_t>& admitted_samples) {
   const ServeClock::time_point now = ServeClock::now();
-  const std::size_t model = w.model;
-  auto& counters = tenant_counters_;
-  const TenantRegistry& tenants = tenants_;
-  const AdmissionFilter admissible = [&counters, &tenants, model](const QueuedSample& u) {
-    if (u.model != model) return false;
-    const TenantSpec& ts = tenants.spec(u.tenant);
-    return ts.max_in_flight == 0 || counters[u.tenant].in_flight < ts.max_in_flight;
-  };
-  std::size_t admitted = 0;
-  while (w.pool.size() < w.max_pool) {
-    std::optional<QueuedSample> unit = scheduler_->pop(admissible);
+  const AdmissionFilter filter = admissible(model);
+  const std::size_t before = pool.size();
+  while (pool.size() < models_[model].spec.max_pool) {
+    std::optional<QueuedSample> unit = scheduler_->pop(filter);
     if (!unit.has_value()) break;
     auto owner = std::static_pointer_cast<Pending>(unit->owner);
     TenantCounters& tc = tenant_counters_[unit->tenant];
@@ -513,36 +468,19 @@ std::size_t ServingFleet::admit_waiting(Worker& w,
       ++tc.cancelled_queued;
       continue;
     }
-    Worker::Slot slot;
-    slot.owner = std::move(owner);
-    slot.request_index = unit->request_index;
-    slot.sample = unit->sample;
-    slot.tenant = unit->tenant;
-    slot.acc.assign(classes, 0.0);
-    slot.admitted_at = now;
     ++tc.in_flight;
-    admitted_samples.push_back(slot.sample);
-    w.pool.push_back(std::move(slot));
-    ++admitted;
+    admitted_samples.push_back(unit->sample);
+    const core::LiveRowSpec spec{owner->policy, owner->budget, owner->record_logits};
+    pool.admit(unit->sample, spec,
+               Slot{std::move(owner), unit->request_index, unit->tenant, now});
   }
-  live_samples_ += admitted;
-  peak_pool_ = std::max(peak_pool_, w.pool.size());
-  return admitted;
+  live_samples_ += pool.size() - before;
+  peak_pool_ = std::max(peak_pool_, pool.size());
 }
 
-void ServingFleet::worker_loop(std::size_t model, std::size_t worker_index,
-                               snn::SpikingNetwork& net) {
-  (void)worker_index;
+void ServingFleet::worker_loop(std::size_t model, snn::SpikingNetwork& net) {
   const Model& m = models_[model];
-  const data::Dataset& dataset = *m.spec.dataset;
-  const std::size_t k = net.num_classes();
-  const snn::Shape fs = dataset.frame_shape();
-  const std::size_t frame_numel = snn::shape_numel(fs);
-
-  Worker w;
-  w.model = model;
-  w.max_pool = m.spec.max_pool;
-  std::vector<float> cum(k);
+  Pool pool(net, *m.spec.dataset);
 
   struct Finished {
     core::InferenceResult result;
@@ -558,109 +496,65 @@ void ServingFleet::worker_loop(std::size_t model, std::size_t worker_index,
     Discard discard = Discard::kNone;  ///< classified at delivery time
   };
   std::vector<Finished> done;
+  std::vector<std::size_t> admitted_samples;
 
   while (true) {
-    // ---- Admission. Waiting samples fill free slots at every timestep
+    // ---- Admission. Waiting samples fill free rows at every timestep
     // boundary, in scheduler-policy order; an idle worker first blocks for
     // work (and optionally holds the admission window).
-    std::size_t admitted = 0;
-    std::vector<std::size_t> admitted_samples;
+    admitted_samples.clear();
     bool purged = false;
     {
       util::MutexLock lk(mu_);
-      // Reclaim slots whose request failed or was cancelled since the last
+      // Reclaim rows whose request failed or was cancelled since the last
       // boundary — the force-exit point of cancellation.
-      const std::size_t before = w.pool.size();
-      purge_dead_slots(w);
-      purged = w.pool.size() != before;
-      if (w.pool.empty() && !wait_for_work(lk, model)) break;
-      admitted = admit_waiting(w, admitted_samples, k);
+      purged = purge_dead_slots(pool) > 0;
+      if (pool.empty() && !wait_for_work(lk, model)) break;
+      admit_waiting(model, pool, admitted_samples);
     }
-    // Purged slots released tenant in-flight quota: wake quota-blocked
+    // Purged rows released tenant in-flight quota: wake quota-blocked
     // siblings.
     if (purged) cv_workers_.notify_all();
-    if (w.pool.empty()) continue;
-    // Warm storage-backed datasets for the newly admitted samples outside
-    // the admission lock, overlapping this cycle's pool step when the
-    // background prefetcher is active.
-    if (!admitted_samples.empty()) {
-      if (m.prefetcher->active()) {
-        m.prefetcher->enqueue(admitted_samples);
-      } else {
-        dataset.prefetch(admitted_samples);
-      }
-    }
+    if (pool.empty()) continue;
+    // Hint the newly admitted samples' shards to the background prefetcher,
+    // overlapping this cycle's pool step (a no-op when it is inactive: the
+    // pool's own write_frame then loads on demand, inside the guarded step).
+    if (!admitted_samples.empty()) m.prefetcher->enqueue(admitted_samples);
 
     done.clear();
     try {
-      // ---- Reconcile LIF state with the pool: survivors keep their rows
-      // (in order), admissions become fresh zero-state rows — mid-flight
-      // admission is a pure gather, so residents' trajectories are
-      // unaffected (the bitwise identity contract).
-      if (!w.active) {
-        net.begin_inference(w.pool.size());
-        w.active = true;
-      } else if (admitted > 0 || w.keep.size() != w.stepped_rows) {
-        w.keep.resize(w.keep.size() + admitted, snn::Layer::kFreshRow);
-        net.compact_inference_state(w.keep);
-      }
-      w.stepped_rows = w.pool.size();
-
-      // ---- One timestep for the whole pool, each sample at its own t.
-      snn::Tensor x({w.pool.size(), fs[0], fs[1], fs[2]});
-      for (std::size_t j = 0; j < w.pool.size(); ++j) {
-        dataset.write_frame(w.pool[j].sample, w.pool[j].t,
-                            {x.data() + j * frame_numel, frame_numel});
-      }
-      snn::Tensor y = net.step(x);  // [pool, K]
-
-      // ---- Exit decisions: same arithmetic and decision order as the
-      // offline engines (cumulative_mean_step, then budget → policy →
-      // deadline via one shared core::make_exit_result).
-      const ServeClock::time_point decided_at = ServeClock::now();
-      w.keep.clear();
-      std::size_t dst = 0;
-      for (std::size_t j = 0; j < w.pool.size(); ++j) {
-        Worker::Slot& s = w.pool[j];
-        const Pending& p = *s.owner;
-        snn::cumulative_mean_step(y.data() + j * k, s.acc.data(), cum.data(), k, s.t);
-        if (p.record_logits) s.history.insert(s.history.end(), cum.begin(), cum.end());
-        // Same short-circuit order as the offline engines (budget first,
-        // policy only when not exhausted), so a policy is consulted for
-        // exactly the same cum rows as on the batch-1 oracle; the deadline
-        // is consulted last and only breaks ties neither of them claimed.
-        const bool exhausted = s.t + 1 == p.budget;
-        const bool policy_exit = !exhausted && p.policy->should_exit(cum);
-        const bool past_deadline =
-            !exhausted && !policy_exit && p.deadline && decided_at >= *p.deadline;
-        if (exhausted || policy_exit || past_deadline) {
-          Finished f;
-          f.result = core::make_exit_result(cum, s.t, p.record_logits, s.history);
-          f.result.request_index = s.request_index;
-          f.result.sample = s.sample;
-          f.owner = std::move(s.owner);
-          f.exit_timestep = f.result.exit_timestep;
-          f.tenant = s.tenant;
-          f.queue_wait_us = elapsed_us(f.owner->submit_time, s.admitted_at);
-          f.latency_us = elapsed_us(f.owner->submit_time, decided_at);
-          f.deadline_forced = past_deadline;
-          f.deadline_missed = p.deadline && decided_at >= *p.deadline;
-          done.push_back(std::move(f));
-        } else {
-          s.t += 1;
-          w.keep.push_back(j);
-          if (dst != j) w.pool[dst] = std::move(w.pool[j]);
-          ++dst;
-        }
-      }
-      w.pool.resize(dst);
+      // ---- One timestep for the whole pool, each sample at its own t; the
+      // deadline is the extra exit rule after budget and policy. Decisions
+      // are timed once per step, after the network step.
+      std::optional<ServeClock::time_point> decided;
+      const auto decided_at = [&decided] {
+        if (!decided) decided = ServeClock::now();
+        return *decided;
+      };
+      const auto past_deadline = [&decided_at](const Pending& p) {
+        return p.deadline && decided_at() >= *p.deadline;
+      };
+      pool.step([&](const Slot& s) { return past_deadline(*s.owner); },
+                [&](core::InferenceResult&& r, Slot&& s, core::ExitCause cause) {
+                  r.request_index = s.request_index;
+                  Finished f;
+                  f.exit_timestep = r.exit_timestep;
+                  f.result = std::move(r);
+                  f.tenant = s.tenant;
+                  f.queue_wait_us = elapsed_us(s.owner->submit_time, s.admitted_at);
+                  f.latency_us = elapsed_us(s.owner->submit_time, decided_at());
+                  f.deadline_forced = cause == core::ExitCause::kRule;
+                  f.deadline_missed = past_deadline(*s.owner);
+                  f.owner = std::move(s.owner);
+                  done.push_back(std::move(f));
+                });
     } catch (...) {
-      // A throw on a worker thread (user exit policy, encoding, OOM, ...)
-      // must never take the process down. This network's state is
+      // A throw on a worker thread (user exit policy, encoding, shard load,
+      // OOM, ...) must never take the process down. This network's state is
       // indeterminate mid-step, so every in-flight sample's trajectory on
       // THIS worker is unrecoverable: fail their requests and keep serving
       // with a fresh pool. Other workers' pools are untouched — they purge
-      // the failed requests' slots at their own next boundary.
+      // the failed requests' rows at their own next boundary.
       const std::exception_ptr error = std::current_exception();
       std::size_t failed = 0;
       std::vector<TenantId> failed_tenants;
@@ -674,15 +568,12 @@ void ServingFleet::worker_loop(std::size_t model, std::size_t worker_index,
         }
       };
       // Each live sample on this worker is exactly one non-null owner ref
-      // across pool ∪ done (the decision loop's moves leave nulls behind),
+      // across pool ∪ done (exits and compaction moves leave nulls behind),
       // so `failed` is also the live-sample count to release.
       for (const Finished& f : done) fail_owner(f.owner, f.tenant);
-      for (const Worker::Slot& s : w.pool) fail_owner(s.owner, s.tenant);
-      w.pool.clear();
+      for (const Slot& s : pool.payloads()) fail_owner(s.owner, s.tenant);
+      pool.reset();
       done.clear();
-      w.active = false;
-      w.stepped_rows = 0;
-      w.keep.clear();
       {
         util::MutexLock lk(mu_);
         failed_samples_ += failed;
@@ -695,13 +586,6 @@ void ServingFleet::worker_loop(std::size_t model, std::size_t worker_index,
       }
       cv_workers_.notify_all();
       continue;
-    }
-    if (w.pool.empty()) {
-      // Fully drained pool: drop the stale state; the next admission begins
-      // a fresh inference sequence (matches the offline batched engine).
-      w.active = false;
-      w.stepped_rows = 0;
-      w.keep.clear();
     }
 
     if (done.empty()) continue;

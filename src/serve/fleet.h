@@ -1,9 +1,9 @@
 // Multi-tenant, SLO-aware serving fleet.
 //
-// ServingFleet generalizes the single-network InferenceServer into the
-// paper-scale serving shape: several models resident at once, several
-// worker pools per model, one admission queue ordered by a pluggable
-// scheduler, per-tenant quotas, and request cancellation.
+// ServingFleet is the paper-scale serving shape: several models resident at
+// once, several worker pools per model, one admission queue ordered by a
+// pluggable scheduler, per-tenant quotas, and request cancellation. A
+// single-network server is the one-model, one-worker fleet.
 //
 //   client threads ──submit()──▶ tenant quotas ──▶ scheduler (fifo / edf /
 //        │                                         weighted_fair)
@@ -14,15 +14,18 @@
 //            └──────── futures / streaming callbacks ◀────┘
 //
 // Each worker owns one network (worker 0 of a model borrows the model's
-// base network; extra workers run copy_network_state replicas) and runs the
-// exact continuous-batching loop of the single server: admit into free pool
-// slots at timestep boundaries (snn::Layer::compact_state, kFreshRow rows),
-// step the pool, apply the shared exit rule (budget → policy → deadline),
-// emit finished samples immediately. Because every sample's trajectory
-// depends only on its own frames and per-row LIF state, fleet results are
-// bitwise identical — prediction, exit timestep, exit entropy, logits — to
-// the batch-1 SequentialEngine oracle for that sample's model, regardless
-// of scheduler policy, worker count, tenant mix, or arrival order.
+// base network; extra workers run copy_network_state replicas) and drives
+// the core::LivePool stepping core the offline batched engine uses: admit
+// into free pool rows at timestep boundaries (snn::Layer::compact_state,
+// kFreshRow rows), step the pool, apply the shared exit rule (budget →
+// policy → deadline as the pool's extra rule), emit finished samples
+// immediately. A throw inside a step (a user policy, a shard that fails to
+// load) fails only that worker's in-flight requests. Because every sample's
+// trajectory depends only on its own frames and per-row LIF state, fleet
+// results are bitwise identical — prediction, exit timestep, exit entropy,
+// logits — to the batch-1 SequentialEngine oracle for that sample's model,
+// regardless of scheduler policy, worker count, tenant mix, or arrival
+// order.
 // Schedulers and quotas change *when* a sample runs, never *what* it
 // computes.
 //
@@ -52,6 +55,7 @@
 #include "core/engine.h"
 #include "core/exit_policy.h"
 #include "core/inference.h"
+#include "core/live_pool.h"
 #include "data/dataset.h"
 #include "data/prefetch.h"
 #include "serve/scheduler.h"
@@ -167,8 +171,8 @@ struct TenantStats {
   util::PercentileSummary latency_us;
 };
 
-/// Snapshot of fleet counters (stats()). The global section mirrors
-/// ServerStats; `tenants` slices the same events per tenant class.
+/// Snapshot of fleet counters (stats()): the global section counts every
+/// model and tenant; `tenants` slices the same events per tenant class.
 struct FleetStats {
   std::size_t submitted_requests = 0;
   std::size_t submitted_samples = 0;
@@ -207,13 +211,15 @@ class ServingFleet {
   ServingFleet(const ServingFleet&) = delete;
   ServingFleet& operator=(const ServingFleet&) = delete;
 
-  /// Thread-safe submission. Validation mirrors InferenceServer::submit
-  /// (empty sample list expands to the whole dataset of the routed model;
-  /// out-of-range indices throw std::out_of_range; duplicates and
-  /// over-budget overrides std::invalid_argument; draining or a full queue
-  /// std::runtime_error) plus: an unknown model name or tenant id throws
-  /// std::invalid_argument, and a submission over the tenant's max_queued
-  /// quota throws TenantQuotaError.
+  /// Thread-safe submission, validated up front: an empty sample list
+  /// expands to the whole dataset of the routed model; out-of-range indices
+  /// throw std::out_of_range; duplicates, over-budget overrides, and an
+  /// unknown model name or tenant id std::invalid_argument; draining or a
+  /// full queue std::runtime_error; a submission over the tenant's
+  /// max_queued quota TenantQuotaError. The future resolves with the
+  /// results in request order once the last sample exits, or with the
+  /// exception that failed the request (a throwing policy or callback, a
+  /// failed shard load) — a worker-side error never takes the process down.
   Submission submit(FleetRequest req) DTSNN_EXCLUDES(mu_);
 
   /// Cancel a submitted request. Queued samples are removed immediately;
@@ -269,7 +275,15 @@ class ServingFleet {
     std::promise<std::vector<core::InferenceResult>> promise;
   };
 
-  struct Worker;  // defined in fleet.cpp: pool slots + the loop's state
+  /// The caller payload of one live-pool row: which request position it
+  /// serves and the bookkeeping for its delivery.
+  struct Slot {
+    std::shared_ptr<Pending> owner;
+    std::size_t request_index = 0;
+    TenantId tenant = kDefaultTenant;
+    ServeClock::time_point admitted_at;
+  };
+  using Pool = core::LivePool<Slot>;
 
   /// Per-model runtime: resolved config, owned replicas, GEMM context.
   struct Model {
@@ -301,24 +315,25 @@ class ServingFleet {
     std::unique_ptr<util::BoundedSampleWindow> latency_us;
   };
 
-  void worker_loop(std::size_t model, std::size_t worker_index,
-                   snn::SpikingNetwork& net) DTSNN_EXCLUDES(mu_);
+  void worker_loop(std::size_t model, snn::SpikingNetwork& net) DTSNN_EXCLUDES(mu_);
 
   /// Block until this worker can admit something (or drain). False only
   /// when draining and no sample for this model remains queued.
   bool wait_for_work(util::MutexLock& lk, std::size_t model) DTSNN_REQUIRES(mu_);
 
-  /// Drop pool slots whose request failed or was cancelled; cancelled ones
-  /// are the "force-exit at the next timestep boundary" path.
-  void purge_dead_slots(Worker& w) DTSNN_REQUIRES(mu_);
+  /// Drop pool rows whose request failed or was cancelled; cancelled ones
+  /// are the "force-exit at the next timestep boundary" path. Returns how
+  /// many rows left.
+  std::size_t purge_dead_slots(Pool& pool) DTSNN_REQUIRES(mu_);
 
-  /// Admit via the scheduler into free pool slots; appends admitted sample
-  /// indices for post-lock prefetching.
-  std::size_t admit_waiting(Worker& w, std::vector<std::size_t>& admitted_samples,
-                            std::size_t classes) DTSNN_REQUIRES(mu_);
+  /// Admit via the scheduler into free pool rows; appends admitted sample
+  /// indices for post-lock prefetch hints.
+  void admit_waiting(std::size_t model, Pool& pool,
+                     std::vector<std::size_t>& admitted_samples) DTSNN_REQUIRES(mu_);
 
-  /// True when the scheduler holds a sample this worker may take right now.
-  [[nodiscard]] bool has_admissible(std::size_t model) const DTSNN_REQUIRES(mu_);
+  /// The queued samples a worker of `model` may take right now: its model,
+  /// and a tenant under its max_in_flight quota.
+  [[nodiscard]] AdmissionFilter admissible(std::size_t model) const DTSNN_REQUIRES(mu_);
 
   void snapshot_counters(FleetStats& s, std::vector<double>& queue_window,
                          std::vector<double>& latency_window,

@@ -9,8 +9,8 @@
 //
 // Three shipped policies:
 //
-//   fifo           Strict arrival order (the pre-fleet single-server
-//                  behavior). Head-of-line: one slow class delays everyone.
+//   fifo           Strict arrival order (the default). Head-of-line: one
+//                  slow class delays everyone.
 //   edf            Earliest-deadline-first: deadline-bound requests are
 //                  admitted by absolute deadline; requests without a
 //                  deadline run after every deadline-bound one, in arrival
@@ -21,12 +21,12 @@
 //                  time goes next (FIFO within a tenant). A bulk tenant can
 //                  saturate its own share but never starve the others.
 //
-// Selection: ServerConfig/FleetConfig carry a policy name; an empty name
+// Selection: FleetConfig carries a policy name; an empty name
 // defers to the DTSNN_SERVE_SCHEDULER environment knob (util::env_string),
 // and an unset knob means fifo. Unknown names throw, loudly, at
 // construction.
 //
-// Schedulers are NOT thread-safe: the owning server/fleet calls them only
+// Schedulers are NOT thread-safe: the owning fleet calls them only
 // under its admission mutex.
 
 #pragma once
@@ -56,8 +56,8 @@ SchedulerKind scheduler_kind_from_name(std::string_view name);
 SchedulerKind resolve_scheduler_kind(const std::string& configured);
 
 /// One queued sample, carrying exactly the metadata scheduling policies
-/// order by. `owner` is the opaque per-request state of the owning
-/// server/fleet (type-erased so the scheduler layer depends on neither).
+/// order by. `owner` is the opaque per-request state of the owning fleet
+/// (type-erased so the scheduler layer does not depend on it).
 struct QueuedSample {
   std::shared_ptr<void> owner;
   std::size_t request_index = 0;  ///< position within the owning request
@@ -65,7 +65,7 @@ struct QueuedSample {
   std::size_t model = 0;          ///< fleet model index (0 for one model)
   TenantId tenant = kDefaultTenant;
   std::uint64_t seq = 0;          ///< global admission sequence (FIFO ties)
-  /// Absolute deadline in microseconds since the owning server's epoch;
+  /// Absolute deadline in microseconds since the owning fleet's epoch;
   /// nullopt = not deadline-bound. (A plain integer rather than a
   /// time_point so scheduling order is a pure function of the queue.)
   std::optional<std::uint64_t> deadline_us;

@@ -12,7 +12,7 @@
 //                  once; excess queued samples simply wait (schedulers skip
 //                  them), so a bulk tenant can never occupy every pool slot.
 //
-// The registry is immutable once handed to a server/fleet: tenant ids are
+// The registry is immutable once handed to a fleet: tenant ids are
 // dense indices assigned at registration, and tenant 0 always exists (the
 // default class every untagged request lands in). Counters live with the
 // fleet, not here — the registry is pure configuration.

@@ -259,6 +259,54 @@ TEST(ServingFleet, CancelForceExitsResidentSamplesAtNextBoundary) {
   }
 }
 
+/// Purge plus admission in one reconciliation: a request cancelled at a
+/// timestep boundary leaves the pool while a waiting request takes its row,
+/// so the next step's LIF-state gather both moves the survivors' rows and
+/// appends a fresh one. Survivors and the newcomer must still match the
+/// batch-1 oracle bitwise.
+TEST(ServingFleet, CancelAtBoundaryThenAdmitPreservesSurvivorsAndNewcomer) {
+  core::Experiment e = micro_experiment("sync10", 4);
+  const core::NeverExitPolicy never;
+  core::SequentialEngine batch1(e.net, never, 4);
+  InferenceRequest all = InferenceRequest::first_n(4);
+  all.record_logits = true;
+  const std::vector<InferenceResult> oracle = batch1.run(*e.bundle.test, all);
+
+  // Parks the first decision; once released it never exits, like `never`.
+  const GatePolicy gate(/*exit_on_release=*/false);
+  FleetConfig config;
+  config.scheduler = "fifo";
+  // The idle worker holds its first arrivals until the pool would launch
+  // full, so the victim and the survivors start together.
+  config.admission_window = std::chrono::seconds(30);
+  ServingFleet fleet({model_for(e, gate, 4, 1, /*max_pool=*/3)}, config);
+  // Admission order is row order: the victim takes row 0, the survivors
+  // rows 1-2, and the newcomer waits for a free row.
+  Submission victim = fleet.submit(request_for({2}, /*record_logits=*/true));
+  Submission survivors = fleet.submit(request_for({0, 1}, /*record_logits=*/true));
+  Submission newcomer = fleet.submit(request_for({3}, /*record_logits=*/true));
+  gate.wait_until_blocked();  // the first step ran; its decisions are parked
+  EXPECT_TRUE(fleet.cancel(victim.handle));
+  gate.release();
+  EXPECT_THROW(victim.results.get(), CancelledError);
+
+  const std::vector<InferenceResult> kept = survivors.results.get();
+  ASSERT_EQ(kept.size(), 2u);
+  expect_identical(kept[0], oracle[0], "survivor 0");
+  expect_identical(kept[1], oracle[1], "survivor 1");
+  const std::vector<InferenceResult> admitted = newcomer.results.get();
+  ASSERT_EQ(admitted.size(), 1u);
+  expect_identical(admitted[0], oracle[3], "newcomer");
+
+  fleet.drain();
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.cancelled_live_samples, 1u);
+  EXPECT_EQ(stats.cancelled_queued_samples, 0u);
+  EXPECT_EQ(stats.completed_samples, 3u);
+  EXPECT_EQ(stats.peak_pool, 3u);
+  EXPECT_EQ(stats.live_samples, 0u);
+}
+
 /// cancel() after the request fully completed returns false and counts
 /// nothing.
 TEST(ServingFleet, CancelAfterCompletionIsANoOp) {

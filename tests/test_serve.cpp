@@ -1,11 +1,13 @@
-// Serving-layer tests. The load-bearing property is the bitwise identity
-// contract: every served result — prediction, exit timestep, exit entropy,
-// recorded cumulative-logit trajectory — equals the offline batch-1
-// SequentialEngine oracle, on every dataset preset and both shipped policy
-// families, under concurrent submission from multiple client threads and
-// mid-flight admission into a busy pool. Plus the serving-only behaviors:
+// Serving-layer tests on the single-model, single-worker shape of
+// ServingFleet. The load-bearing property is the bitwise identity contract:
+// every served result — prediction, exit timestep, exit entropy, recorded
+// cumulative-logit trajectory — equals the offline batch-1 SequentialEngine
+// oracle, on every dataset preset and both shipped policy families, under
+// concurrent submission from multiple client threads and mid-flight
+// admission into a busy pool. Plus the serving-only behaviors:
 // deadline-forced exits, drain-on-shutdown, submission-time validation, and
-// server stats.
+// fleet stats. (Multi-worker, multi-model, scheduler, quota and
+// cancellation coverage lives in test_fleet.cpp.)
 
 #include <atomic>
 #include <chrono>
@@ -17,7 +19,7 @@
 #include "core/engine.h"
 #include "core/evaluator.h"
 #include "core/exit_policy.h"
-#include "serve/server.h"
+#include "serve/fleet.h"
 #include "util/thread.h"
 
 namespace dtsnn::serve {
@@ -38,12 +40,26 @@ core::Experiment micro_experiment(const std::string& dataset, std::size_t timest
   return core::run_experiment(spec);
 }
 
+/// The single-network serving shape: one model, one worker, `max_pool`
+/// live-pool rows. The fleet takes exclusive use of `net` until drain().
+std::vector<FleetModel> one_model(snn::SpikingNetwork& net, const data::Dataset& ds,
+                                  const core::ExitPolicy& policy, std::size_t timesteps,
+                                  std::size_t max_pool = 8) {
+  FleetModel m;
+  m.network = &net;
+  m.dataset = &ds;
+  m.default_policy = &policy;
+  m.max_timesteps = timesteps;
+  m.max_pool = max_pool;
+  return {m};
+}
+
 /// Request for an explicit index list. (push_back instead of an
 /// initializer-list assignment: GCC 12's -Wnonnull trips on the latter's
 /// inlined memmove at -O2.)
-ServeRequest request_for(std::initializer_list<std::size_t> samples,
+FleetRequest request_for(std::initializer_list<std::size_t> samples,
                          bool record_logits = false) {
-  ServeRequest req;
+  FleetRequest req;
   for (const std::size_t s : samples) req.request.samples.push_back(s);
   req.request.record_logits = record_logits;
   return req;
@@ -67,7 +83,7 @@ void expect_identical(const InferenceResult& served, const InferenceResult& orac
 /// to the offline batch-1 oracle on all four dataset presets, under both
 /// entropy and max-prob policies, with >= 4 client threads submitting
 /// concurrently into a pool the threads contend for.
-TEST(InferenceServer, ServedBitwiseIdenticalToOfflineOracleAcrossPresets) {
+TEST(SingleModelFleet, ServedBitwiseIdenticalToOfflineOracleAcrossPresets) {
   for (const std::string preset : {"sync10", "sync100", "syntin", "syndvs"}) {
     const std::size_t timesteps = preset == "syndvs" ? 5 : 3;
     core::Experiment e = micro_experiment(preset, timesteps);
@@ -81,30 +97,29 @@ TEST(InferenceServer, ServedBitwiseIdenticalToOfflineOracleAcrossPresets) {
           static_cast<const core::ExitPolicy*>(&maxprob)}) {
       const std::string context = preset + "/" + policy->name();
 
-      // Offline oracle first — the network is shared, and the server takes
+      // Offline oracle first — the network is shared, and the fleet takes
       // exclusive use of it between construction and drain().
       core::SequentialEngine batch1(e.net, *policy, timesteps);
       InferenceRequest all = InferenceRequest::first_n(n);
       all.record_logits = true;
       const std::vector<InferenceResult> oracle = batch1.run(ds, all);
 
-      ServerConfig config;
-      config.max_pool = 5;  // smaller than n: constant admission churn
+      constexpr std::size_t kPool = 5;  // smaller than n: constant admission churn
       std::vector<std::future<std::vector<InferenceResult>>> futures(n);
       {
-        InferenceServer server(e.net, ds, *policy, timesteps, config);
+        ServingFleet fleet(one_model(e.net, ds, *policy, timesteps, kPool));
         // 4 client threads submit interleaved single-sample requests.
         constexpr std::size_t kClients = 4;
         std::vector<util::Thread> clients;
         for (std::size_t c = 0; c < kClients; ++c) {
           clients.emplace_back([&, c] {
             for (std::size_t s = c; s < n; s += kClients) {
-              futures[s] = server.submit(request_for({s}, /*record_logits=*/true));
+              futures[s] = fleet.submit(request_for({s}, /*record_logits=*/true)).results;
             }
           });
         }
         for (auto& t : clients) t.join();
-        server.drain();
+        fleet.drain();
       }
       for (std::size_t s = 0; s < n; ++s) {
         const std::vector<InferenceResult> got = futures[s].get();
@@ -117,7 +132,7 @@ TEST(InferenceServer, ServedBitwiseIdenticalToOfflineOracleAcrossPresets) {
 
 /// Samples admitted into a half-busy pool mid-flight must neither perturb
 /// residents nor be perturbed themselves: everyone matches the oracle.
-TEST(InferenceServer, MidFlightAdmissionPreservesIdentity) {
+TEST(SingleModelFleet, MidFlightAdmissionPreservesIdentity) {
   core::Experiment e = micro_experiment("sync10", 4);
   const auto& ds = *e.bundle.test;
   const std::size_t n = std::min<std::size_t>(12, ds.size());
@@ -130,19 +145,18 @@ TEST(InferenceServer, MidFlightAdmissionPreservesIdentity) {
   all.record_logits = true;
   const std::vector<InferenceResult> oracle = batch1.run(ds, all);
 
-  ServerConfig config;
-  config.max_pool = 8;  // residents occupy 3 slots; arrivals join the rest
-  InferenceServer server(e.net, ds, never, 4, config);
+  constexpr std::size_t kPool = 8;  // residents occupy 3 slots; arrivals join the rest
+  ServingFleet fleet(one_model(e.net, ds, never, 4, kPool));
 
-  auto resident_future = server.submit(request_for({0, 1, 2}, /*record_logits=*/true));
+  auto resident_future = fleet.submit(request_for({0, 1, 2}, /*record_logits=*/true)).results;
 
   // Trickle in the rest from another thread while the pool is running.
   std::vector<std::future<std::vector<InferenceResult>>> later;
   for (std::size_t s = 3; s < n; ++s) {
-    later.push_back(server.submit(request_for({s}, /*record_logits=*/true)));
+    later.push_back(fleet.submit(request_for({s}, /*record_logits=*/true)).results);
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
-  server.drain();
+  fleet.drain();
 
   const std::vector<InferenceResult> resident_results = resident_future.get();
   ASSERT_EQ(resident_results.size(), 3u);
@@ -156,13 +170,13 @@ TEST(InferenceServer, MidFlightAdmissionPreservesIdentity) {
     expect_identical(got[0], oracle[3 + i], "arrival " + std::to_string(3 + i));
   }
 
-  const ServerStats stats = server.stats();
+  const FleetStats stats = fleet.stats();
   EXPECT_EQ(stats.submitted_samples, n);
   EXPECT_EQ(stats.completed_samples, n);
   EXPECT_EQ(stats.queue_depth, 0u);
   EXPECT_EQ(stats.live_samples, 0u);
   EXPECT_GE(stats.peak_pool, 3u);
-  EXPECT_LE(stats.peak_pool, config.max_pool);
+  EXPECT_LE(stats.peak_pool, kPool);
   EXPECT_EQ(stats.exit_timesteps.total(), n);
   EXPECT_EQ(stats.exit_timesteps.count(3), n);  // everyone exits at t=4
   EXPECT_DOUBLE_EQ(stats.mean_exit_timestep, 4.0);
@@ -172,7 +186,7 @@ TEST(InferenceServer, MidFlightAdmissionPreservesIdentity) {
 
 /// An expired deadline forces exit at the first timestep boundary, with the
 /// same quantities a budget-1 oracle reports — not a dropped request.
-TEST(InferenceServer, DeadlineForcedExitMatchesBudget1Oracle) {
+TEST(SingleModelFleet, DeadlineForcedExitMatchesBudget1Oracle) {
   core::Experiment e = micro_experiment("sync10", 4);
   const auto& ds = *e.bundle.test;
   const std::size_t n = std::min<std::size_t>(6, ds.size());
@@ -184,13 +198,13 @@ TEST(InferenceServer, DeadlineForcedExitMatchesBudget1Oracle) {
   all.max_timesteps = 1;  // the oracle for a deadline hit at t=1
   const std::vector<InferenceResult> oracle = batch1.run(ds, all);
 
-  InferenceServer server(e.net, ds, never, 4);
-  ServeRequest req;
+  ServingFleet fleet(one_model(e.net, ds, never, 4));
+  FleetRequest req;
   req.request = InferenceRequest::first_n(n);
   req.request.record_logits = true;
   req.deadline = ServeClock::now() - std::chrono::seconds(1);  // already past
-  auto future = server.submit(std::move(req));
-  server.drain();
+  auto future = fleet.submit(std::move(req)).results;
+  fleet.drain();
 
   const std::vector<InferenceResult> got = future.get();
   ASSERT_EQ(got.size(), n);
@@ -198,85 +212,85 @@ TEST(InferenceServer, DeadlineForcedExitMatchesBudget1Oracle) {
     EXPECT_EQ(got[i].exit_timestep, 1u);
     expect_identical(got[i], oracle[i], "deadline sample " + std::to_string(i));
   }
-  EXPECT_EQ(server.stats().deadline_forced_exits, n);
+  EXPECT_EQ(fleet.stats().deadline_forced_exits, n);
 }
 
-TEST(InferenceServer, DrainCompletesAcceptedWorkAndRejectsNew) {
+TEST(SingleModelFleet, DrainCompletesAcceptedWorkAndRejectsNew) {
   core::Experiment e = micro_experiment("sync10", 3);
   const auto& ds = *e.bundle.test;
   const core::EntropyExitPolicy policy(0.35);
 
-  InferenceServer server(e.net, ds, policy, 3, ServerConfig{.max_pool = 4});
+  ServingFleet fleet(one_model(e.net, ds, policy, 3, 4));
   std::vector<std::future<std::vector<InferenceResult>>> futures;
   const std::size_t n = std::min<std::size_t>(10, ds.size());
   for (std::size_t s = 0; s < n; ++s) {
-    futures.push_back(server.submit(request_for({s})));
+    futures.push_back(fleet.submit(request_for({s})).results);
   }
-  server.drain();
+  fleet.drain();
 
   // Every accepted sample completed; its future is ready, not abandoned.
   for (auto& f : futures) {
     ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
     EXPECT_EQ(f.get().size(), 1u);
   }
-  const ServerStats stats = server.stats();
+  const FleetStats stats = fleet.stats();
   EXPECT_EQ(stats.completed_samples, n);
   EXPECT_EQ(stats.queue_depth, 0u);
 
-  EXPECT_THROW(server.submit(request_for({0})), std::runtime_error);
-  server.drain();  // idempotent
+  EXPECT_THROW(fleet.submit(request_for({0})), std::runtime_error);
+  fleet.drain();  // idempotent
 }
 
-TEST(InferenceServer, SubmitValidatesUpFront) {
+TEST(SingleModelFleet, SubmitValidatesUpFront) {
   core::Experiment e = micro_experiment("sync10", 3);
   const auto& ds = *e.bundle.test;
   const core::EntropyExitPolicy policy(0.35);
-  InferenceServer server(e.net, ds, policy, 3);
+  ServingFleet fleet(one_model(e.net, ds, policy, 3));
 
-  ServeRequest out_of_range = request_for({0});
+  FleetRequest out_of_range = request_for({0});
   out_of_range.request.samples.push_back(ds.size());
-  EXPECT_THROW(server.submit(std::move(out_of_range)), std::out_of_range);
+  EXPECT_THROW(fleet.submit(std::move(out_of_range)), std::out_of_range);
 
-  EXPECT_THROW(server.submit(request_for({1, 2, 1})), std::invalid_argument);
+  EXPECT_THROW(fleet.submit(request_for({1, 2, 1})), std::invalid_argument);
 
-  ServeRequest over_budget = request_for({0});
-  over_budget.request.max_timesteps = 4;  // server budget is 3
-  EXPECT_THROW(server.submit(std::move(over_budget)), std::invalid_argument);
+  FleetRequest over_budget = request_for({0});
+  over_budget.request.max_timesteps = 4;  // fleet budget is 3
+  EXPECT_THROW(fleet.submit(std::move(over_budget)), std::invalid_argument);
 
   // Nothing was accepted by the rejected submissions.
-  EXPECT_EQ(server.stats().submitted_samples, 0u);
+  EXPECT_EQ(fleet.stats().submitted_samples, 0u);
 
   // An empty request expands to the whole dataset, like the offline run().
-  ServeRequest everything;
-  auto future = server.submit(std::move(everything));
+  FleetRequest everything;
+  auto future = fleet.submit(std::move(everything)).results;
   EXPECT_EQ(future.get().size(), ds.size());
 
   // Over an *empty* dataset the expansion stays empty: the future resolves
   // immediately with no results instead of hanging forever.
   data::ArrayDataset empty_ds(ds.frame_shape(), 1, ds.num_classes());
-  InferenceServer empty_server(e.net, empty_ds, policy, 3);
-  EXPECT_EQ(empty_server.submit(ServeRequest{}).get().size(), 0u);
+  ServingFleet empty_fleet(one_model(e.net, empty_ds, policy, 3));
+  EXPECT_EQ(empty_fleet.submit(FleetRequest{}).results.get().size(), 0u);
 
-  EXPECT_THROW(InferenceServer(e.net, ds, policy, 0), std::invalid_argument);
-  EXPECT_THROW(InferenceServer(e.net, ds, policy, 3, ServerConfig{.max_pool = 0}),
+  EXPECT_THROW(ServingFleet(one_model(e.net, ds, policy, 0)), std::invalid_argument);
+  EXPECT_THROW(ServingFleet(one_model(e.net, ds, policy, 3, /*max_pool=*/0)),
                std::invalid_argument);
 }
 
 /// Per-request policy and budget overrides behave exactly as they do on the
 /// offline engines, and streaming callbacks fire once per sample with the
 /// right request mapping, before the future resolves.
-TEST(InferenceServer, OverridesAndStreamingCallbacks) {
+TEST(SingleModelFleet, OverridesAndStreamingCallbacks) {
   core::Experiment e = micro_experiment("sync10", 3);
   const auto& ds = *e.bundle.test;
   const std::size_t n = std::min<std::size_t>(9, ds.size());
 
-  const core::NeverExitPolicy never;  // server default: run the full budget
-  InferenceServer server(e.net, ds, never, 3, ServerConfig{.max_pool = 4});
+  const core::NeverExitPolicy never;  // fleet default: run the full budget
+  ServingFleet fleet(one_model(e.net, ds, never, 3, 4));
 
   // Policy override: exit everything at t=1.
   const core::EntropyExitPolicy immediate(1.01);
   std::atomic<std::size_t> streamed{0};
-  ServeRequest req;
+  FleetRequest req;
   req.request = InferenceRequest::first_n(n);
   req.request.policy = &immediate;
   req.on_result = [&](const InferenceResult& r) {
@@ -285,7 +299,7 @@ TEST(InferenceServer, OverridesAndStreamingCallbacks) {
     EXPECT_EQ(r.sample, r.request_index);  // first_n maps position == sample
     EXPECT_EQ(r.exit_timestep, 1u);
   };
-  const auto results = server.submit(std::move(req)).get();
+  const auto results = fleet.submit(std::move(req)).results.get();
   EXPECT_EQ(streamed.load(), n);
   ASSERT_EQ(results.size(), n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -293,18 +307,18 @@ TEST(InferenceServer, OverridesAndStreamingCallbacks) {
     EXPECT_EQ(results[i].exit_timestep, 1u);
   }
 
-  // Budget override below the server budget: forced exit moves to t=2.
-  ServeRequest shorter;
+  // Budget override below the fleet budget: forced exit moves to t=2.
+  FleetRequest shorter;
   shorter.request = InferenceRequest::first_n(n);
   shorter.request.max_timesteps = 2;
-  for (const auto& r : server.submit(std::move(shorter)).get()) {
+  for (const auto& r : fleet.submit(std::move(shorter)).results.get()) {
     EXPECT_EQ(r.exit_timestep, 2u);
   }
 }
 
 /// Concurrent multi-sample requests with mixed per-request policies resolve
 /// independently and still match their respective oracles.
-TEST(InferenceServer, ConcurrentMixedPolicyRequests) {
+TEST(SingleModelFleet, ConcurrentMixedPolicyRequests) {
   core::Experiment e = micro_experiment("sync10", 3);
   const auto& ds = *e.bundle.test;
   const std::size_t n = std::min<std::size_t>(16, ds.size());
@@ -316,26 +330,26 @@ TEST(InferenceServer, ConcurrentMixedPolicyRequests) {
   const auto oracle_tight = batch1_tight.run(ds, InferenceRequest::first_n(n));
   const auto oracle_loose = batch1_loose.run(ds, InferenceRequest::first_n(n));
 
-  InferenceServer server(e.net, ds, tight, 3, ServerConfig{.max_pool = 6});
+  ServingFleet fleet(one_model(e.net, ds, tight, 3, 6));
   std::vector<std::future<std::vector<InferenceResult>>> tight_futs(4), loose_futs(4);
   std::vector<util::Thread> clients;
   for (std::size_t c = 0; c < 4; ++c) {
     clients.emplace_back([&, c] {
       // Each client submits one 4-sample tight request and one loose
       // override request over the same disjoint slice.
-      ServeRequest a;
-      ServeRequest b;
+      FleetRequest a;
+      FleetRequest b;
       for (std::size_t s = c * 4; s < c * 4 + 4 && s < n; ++s) {
         a.request.samples.push_back(s);
         b.request.samples.push_back(s);
       }
-      tight_futs[c] = server.submit(std::move(a));
+      tight_futs[c] = fleet.submit(std::move(a)).results;
       b.request.policy = &loose;
-      loose_futs[c] = server.submit(std::move(b));
+      loose_futs[c] = fleet.submit(std::move(b)).results;
     });
   }
   for (auto& t : clients) t.join();
-  server.drain();
+  fleet.drain();
 
   for (std::size_t c = 0; c < 4; ++c) {
     const auto ta = tight_futs[c].get();
@@ -347,10 +361,10 @@ TEST(InferenceServer, ConcurrentMixedPolicyRequests) {
   }
 }
 
-/// A throwing user exit policy must not take the server down: the affected
-/// request's future carries the exception, and the server keeps serving
+/// A throwing user exit policy must not take the fleet down: the affected
+/// request's future carries the exception, and the fleet keeps serving
 /// later requests correctly.
-TEST(InferenceServer, WorkerExceptionFailsRequestNotServer) {
+TEST(SingleModelFleet, WorkerExceptionFailsRequestNotFleet) {
   struct ThrowingPolicy final : core::ExitPolicy {
     [[nodiscard]] bool should_exit(std::span<const float>) const override {
       throw std::runtime_error("policy bug");
@@ -364,35 +378,35 @@ TEST(InferenceServer, WorkerExceptionFailsRequestNotServer) {
   core::SequentialEngine batch1(e.net, good, 3);
   const auto oracle = batch1.run(ds, InferenceRequest::first_n(4));
 
-  InferenceServer server(e.net, ds, good, 3, ServerConfig{.max_pool = 4});
+  ServingFleet fleet(one_model(e.net, ds, good, 3, 4));
   const ThrowingPolicy bad;
-  ServeRequest poisoned = request_for({0, 1});
+  FleetRequest poisoned = request_for({0, 1});
   poisoned.request.policy = &bad;
-  auto poisoned_future = server.submit(std::move(poisoned));
+  auto poisoned_future = fleet.submit(std::move(poisoned)).results;
   EXPECT_THROW(poisoned_future.get(), std::runtime_error);
 
-  // The server survives and subsequent requests still match the oracle.
+  // The fleet survives and subsequent requests still match the oracle.
   for (std::size_t s = 0; s < 4; ++s) {
-    const auto got = server.submit(request_for({s})).get();
+    const auto got = fleet.submit(request_for({s})).results.get();
     ASSERT_EQ(got.size(), 1u);
     expect_identical(got[0], oracle[s], "after worker failure");
   }
 
   // A throwing result callback fails only its own request the same way.
-  ServeRequest bad_callback = request_for({5});
+  FleetRequest bad_callback = request_for({5});
   bad_callback.on_result = [](const InferenceResult&) {
     throw std::runtime_error("callback bug");
   };
-  auto cb_future = server.submit(std::move(bad_callback));
+  auto cb_future = fleet.submit(std::move(bad_callback)).results;
   EXPECT_THROW(cb_future.get(), std::runtime_error);
-  const auto after = server.submit(request_for({1})).get();
+  const auto after = fleet.submit(request_for({1})).results.get();
   expect_identical(after.at(0), oracle[1], "after callback failure");
 
   // At quiescence, completed + failed partition the submitted samples:
   // discarded work of failed requests never counts as completed. (Checked
   // after drain — the worker publishes stats after resolving the futures.)
-  server.drain();
-  const ServerStats final_stats = server.stats();
+  fleet.drain();
+  const FleetStats final_stats = fleet.stats();
   EXPECT_EQ(final_stats.submitted_samples, 8u);
   EXPECT_EQ(final_stats.completed_samples, 5u);
   EXPECT_EQ(final_stats.failed_samples, 3u);  // 2 policy-poisoned + 1 callback
@@ -402,7 +416,7 @@ TEST(InferenceServer, WorkerExceptionFailsRequestNotServer) {
 /// The exit policy is consulted for exactly the same cum rows as on the
 /// batch-1 oracle: never at the budget-exhaustion step (short-circuit
 /// parity), so a policy only defined below the budget behaves identically.
-TEST(InferenceServer, PolicyConsultedOnlyBelowBudget) {
+TEST(SingleModelFleet, PolicyConsultedOnlyBelowBudget) {
   struct CountingPolicy final : core::ExitPolicy {
     mutable std::atomic<std::size_t> calls{0};
     [[nodiscard]] bool should_exit(std::span<const float>) const override {
@@ -416,10 +430,10 @@ TEST(InferenceServer, PolicyConsultedOnlyBelowBudget) {
   const auto& ds = *e.bundle.test;
   const CountingPolicy counting;
   {
-    InferenceServer server(e.net, ds, counting, 3, ServerConfig{.max_pool = 4});
-    ServeRequest req;
+    ServingFleet fleet(one_model(e.net, ds, counting, 3, 4));
+    FleetRequest req;
     req.request = InferenceRequest::first_n(5);
-    server.submit(std::move(req)).get();
+    fleet.submit(std::move(req)).results.get();
   }
   // 5 samples x budget 3: consulted at t=1 and t=2, never at the forced
   // exit — exactly what SequentialEngine does.
@@ -428,16 +442,16 @@ TEST(InferenceServer, PolicyConsultedOnlyBelowBudget) {
 
 /// The destructor alone drains gracefully: accepted work completes even if
 /// the client never calls drain().
-TEST(InferenceServer, DestructorDrains) {
+TEST(SingleModelFleet, DestructorDrains) {
   core::Experiment e = micro_experiment("sync10", 3);
   const auto& ds = *e.bundle.test;
   const core::EntropyExitPolicy policy(0.35);
   std::future<std::vector<InferenceResult>> future;
   {
-    InferenceServer server(e.net, ds, policy, 3, ServerConfig{.max_pool = 2});
-    ServeRequest req;
+    ServingFleet fleet(one_model(e.net, ds, policy, 3, 2));
+    FleetRequest req;
     req.request = InferenceRequest::first_n(std::min<std::size_t>(8, ds.size()));
-    future = server.submit(std::move(req));
+    future = fleet.submit(std::move(req)).results;
   }
   ASSERT_EQ(future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   EXPECT_EQ(future.get().size(), std::min<std::size_t>(8, ds.size()));
@@ -451,7 +465,7 @@ TEST(InferenceServer, DestructorDrains) {
 /// larger budget counts as a deadline force, and in both cases the exit
 /// histogram's total equals completed_samples exactly (never double
 /// counted).
-TEST(InferenceServer, DeadlineOnBudgetBoundaryCountsOnce) {
+TEST(SingleModelFleet, DeadlineOnBudgetBoundaryCountsOnce) {
   core::Experiment e = micro_experiment("sync10", 4);
   const auto& ds = *e.bundle.test;
   const core::NeverExitPolicy never;
@@ -459,15 +473,15 @@ TEST(InferenceServer, DeadlineOnBudgetBoundaryCountsOnce) {
   {
     // Both conditions true at the same boundary: budget 1 exhausts at t=1,
     // and the deadline has already passed when the decision is made.
-    InferenceServer server(e.net, ds, never, 4);
-    ServeRequest req;
+    ServingFleet fleet(one_model(e.net, ds, never, 4));
+    FleetRequest req;
     req.request = InferenceRequest::first_n(3);
     req.request.max_timesteps = 1;
     req.deadline = ServeClock::now() - std::chrono::seconds(1);
-    auto future = server.submit(std::move(req));
+    auto future = fleet.submit(std::move(req)).results;
     future.get();
-    server.drain();
-    const ServerStats stats = server.stats();
+    fleet.drain();
+    const FleetStats stats = fleet.stats();
     EXPECT_EQ(stats.completed_samples, 3u);
     EXPECT_EQ(stats.deadline_forced_exits, 0u)
         << "budget exhaustion owns the boundary exit";
@@ -478,14 +492,14 @@ TEST(InferenceServer, DeadlineOnBudgetBoundaryCountsOnce) {
   {
     // Same deadline, room in the budget: now the deadline owns the exit,
     // with the identical once-only histogram accounting.
-    InferenceServer server(e.net, ds, never, 4);
-    ServeRequest req;
+    ServingFleet fleet(one_model(e.net, ds, never, 4));
+    FleetRequest req;
     req.request = InferenceRequest::first_n(3);
     req.deadline = ServeClock::now() - std::chrono::seconds(1);
-    auto future = server.submit(std::move(req));
+    auto future = fleet.submit(std::move(req)).results;
     future.get();
-    server.drain();
-    const ServerStats stats = server.stats();
+    fleet.drain();
+    const FleetStats stats = fleet.stats();
     EXPECT_EQ(stats.completed_samples, 3u);
     EXPECT_EQ(stats.deadline_forced_exits, 3u);
     EXPECT_EQ(stats.exit_timesteps.total(), stats.completed_samples);
@@ -493,30 +507,30 @@ TEST(InferenceServer, DeadlineOnBudgetBoundaryCountsOnce) {
   }
 }
 
-/// The scheduler, tenant, and cancellation surfaces ride through the
-/// single-model facade: ServerConfig selects the policy and tenant classes,
-/// submit_with_handle()/cancel() work, and ServerStats reports cancelled
-/// work distinctly from completions and failures.
-TEST(InferenceServer, SchedulerTenantsAndCancellationThroughFacade) {
+/// The scheduler, tenant, and cancellation surfaces work on the single-model
+/// shape: FleetConfig selects the policy and tenant classes, submit() hands
+/// out a working cancellation handle, and FleetStats reports cancelled work
+/// distinctly from completions and failures.
+TEST(SingleModelFleet, SchedulerTenantsAndCancellation) {
   core::Experiment e = micro_experiment("sync10", 3);
   const auto& ds = *e.bundle.test;
   const core::EntropyExitPolicy policy(0.35);
-  ServerConfig config;
+  FleetConfig config;
   config.scheduler = "edf";
   config.tenants = {TenantSpec{.name = "interactive", .weight = 2.0, .max_queued = 4}};
-  InferenceServer server(e.net, ds, policy, 3, config);
-  EXPECT_EQ(server.scheduler_kind(), SchedulerKind::kEdf);
+  ServingFleet fleet(one_model(e.net, ds, policy, 3), config);
+  EXPECT_EQ(fleet.scheduler_kind(), SchedulerKind::kEdf);
 
-  ServeRequest tagged = {};
+  FleetRequest tagged = {};
   tagged.request.samples = {0, 1};
   tagged.tenant = 1;
-  Submission sub = server.submit_with_handle(std::move(tagged));
+  Submission sub = fleet.submit(std::move(tagged));
   EXPECT_NE(sub.handle.id, 0u);
   sub.results.get();
-  EXPECT_FALSE(server.cancel(sub.handle)) << "already completed";
-  server.drain();
+  EXPECT_FALSE(fleet.cancel(sub.handle)) << "already completed";
+  fleet.drain();
 
-  const ServerStats stats = server.stats();
+  const FleetStats stats = fleet.stats();
   EXPECT_EQ(stats.completed_samples, 2u);
   EXPECT_EQ(stats.cancelled_requests, 0u);
   EXPECT_EQ(stats.cancelled_queued_samples, 0u);

@@ -7,8 +7,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdlib>  // setenv/unsetenv (prefetch-depth knob)
 #include <filesystem>
 #include <memory>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -18,7 +21,7 @@
 #include "core/inference.h"
 #include "data/shard.h"
 #include "data/sharded_dataset.h"
-#include "serve/server.h"
+#include "serve/fleet.h"
 
 namespace dtsnn::core {
 namespace {
@@ -57,11 +60,47 @@ class ShardedCopy {
     fs::remove_all(dir_, ec);
   }
   [[nodiscard]] const data::ShardedDataset& dataset() const { return *dataset_; }
+  [[nodiscard]] const fs::path& dir() const { return dir_; }
 
  private:
   fs::path dir_;
   std::unique_ptr<data::ShardedDataset> dataset_;
 };
+
+/// Sets an environment variable for one scope, restoring the previous value.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      setenv(name_, old_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// One model, one worker over `ds`; the fleet borrows `net` until drain().
+std::vector<serve::FleetModel> one_model(snn::SpikingNetwork& net, const data::Dataset& ds,
+                                         const ExitPolicy& policy, std::size_t timesteps,
+                                         std::size_t max_pool) {
+  serve::FleetModel m;
+  m.network = &net;
+  m.dataset = &ds;
+  m.default_policy = &policy;
+  m.max_timesteps = timesteps;
+  m.max_pool = max_pool;
+  return {m};
+}
 
 void expect_identical(const std::vector<InferenceResult>& a,
                       const std::vector<InferenceResult>& b,
@@ -145,7 +184,7 @@ TEST(ShardedInference, CollectedOutputsBitwiseIdentical) {
 /// Serving from shards: requests whose samples live in not-yet-resident
 /// shards are admitted, prefetched, and served bitwise identical to the
 /// offline batch-1 oracle reading the in-memory dataset.
-TEST(ShardedInference, ServerServesFromShardsBitwiseIdenticalToOracle) {
+TEST(ShardedInference, FleetServesFromShardsBitwiseIdenticalToOracle) {
   Experiment e = micro_experiment("sync10", 3);
   const data::ArrayDataset& array = *e.bundle.test;
   const std::size_t n = std::min<std::size_t>(20, array.size());
@@ -159,18 +198,17 @@ TEST(ShardedInference, ServerServesFromShardsBitwiseIdenticalToOracle) {
   for (const std::size_t cache_slots : {std::size_t{1}, std::size_t{2}}) {
     const ShardedCopy copy(array, "serve_c" + std::to_string(cache_slots), 6,
                            cache_slots);
-    serve::ServerConfig config;
-    config.max_pool = 4;  // smaller than n: constant admission churn
     std::vector<std::future<std::vector<InferenceResult>>> futures;
     {
-      serve::InferenceServer server(e.net, copy.dataset(), policy, 3, config);
+      // max_pool 4, smaller than n: constant admission churn.
+      serve::ServingFleet fleet(one_model(e.net, copy.dataset(), policy, 3, 4));
       for (std::size_t s = 0; s < n; ++s) {
-        serve::ServeRequest req;
+        serve::FleetRequest req;
         req.request.samples.push_back(s);
         req.request.record_logits = true;
-        futures.push_back(server.submit(std::move(req)));
+        futures.push_back(fleet.submit(std::move(req)).results);
       }
-      server.drain();
+      fleet.drain();
     }
     for (std::size_t s = 0; s < n; ++s) {
       const std::vector<InferenceResult> got = futures[s].get();
@@ -183,6 +221,48 @@ TEST(ShardedInference, ServerServesFromShardsBitwiseIdenticalToOracle) {
     const data::DatasetStorageStats stats = copy.dataset().storage_stats();
     EXPECT_GT(stats.cache_hits + stats.cache_misses, 0u);
   }
+}
+
+/// With the background prefetcher off, a shard that fails to load fails only
+/// the request that reads it: the load error surfaces from write_frame inside
+/// the worker's guarded step instead of escaping the worker thread, and the
+/// fleet keeps serving intact shards bitwise identical to the oracle.
+TEST(ShardedInference, FleetShardLoadFailureWithPrefetchOffFailsOnlyItsRequest) {
+  Experiment e = micro_experiment("sync10", 3);
+  const data::ArrayDataset& array = *e.bundle.test;
+  const EntropyExitPolicy policy(0.35);
+  InferenceRequest first = InferenceRequest::first_n(1);
+  first.record_logits = true;
+  SequentialEngine batch1(e.net, policy, 3);
+  const std::vector<InferenceResult> oracle = batch1.run(array, first);
+
+  const ScopedEnv no_prefetch("DTSNN_PREFETCH_DEPTH", "0");
+  const ShardedCopy copy(array, "truncated", 6, /*cache_slots=*/1);
+  ASSERT_GE(copy.dataset().num_shards(), 2u);
+  // Truncate the second shard (samples 6..11) after the dataset validated
+  // it at open: its frames fail to load on first touch.
+  std::vector<fs::path> shards;
+  for (const auto& entry : fs::directory_iterator(copy.dir())) {
+    if (entry.path().extension() == data::kShardExtension) shards.push_back(entry.path());
+  }
+  std::sort(shards.begin(), shards.end());
+  fs::resize_file(shards.at(1), fs::file_size(shards.at(1)) / 2);
+
+  serve::ServingFleet fleet(one_model(e.net, copy.dataset(), policy, 3, 4));
+  serve::FleetRequest broken;
+  broken.request.samples.push_back(7);
+  EXPECT_THROW(fleet.submit(std::move(broken)).results.get(), data::ShardError);
+
+  serve::FleetRequest intact;
+  intact.request.samples.push_back(0);
+  intact.request.record_logits = true;
+  const std::vector<InferenceResult> got = fleet.submit(std::move(intact)).results.get();
+  expect_identical(got, oracle, "intact shard after a failed load");
+
+  fleet.drain();
+  const serve::FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.failed_samples, 1u);
+  EXPECT_EQ(stats.completed_samples, 1u);
 }
 
 /// evaluate_engine aggregates identically over either backend.
