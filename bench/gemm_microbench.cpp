@@ -7,33 +7,34 @@
 // Two tiers, two contracts (util/gemm.h):
 //   * float backends are checked bitwise against scalar_ref; any mismatch
 //     fails the run;
-//   * the quantized backends (int8_spike / int4_spike) run their weights
-//     through util::QuantizedMatrix and are checked against the scalar
-//     float product of the DEQUANTIZED weights within a relative bound
-//     (their kernel is exact integer accumulation + one flush per scale
-//     group, so only float summation order separates the two), plus the
-//     end-to-end decision gate below.
+//   * the quantized kernels run their weights through util::QuantizedMatrix
+//     and are checked against the scalar float product of the DEQUANTIZED
+//     weights within a relative bound (they are exact integer accumulation
+//     + one flush per scale group, so only float summation order separates
+//     the two), plus the end-to-end decision gate below. The quantized rows
+//     are the int8_lut / int4_lut backends and the spike kernel they fall
+//     back to (util::internal::qgemm_spike_kernel), timed directly and
+//     labelled int8_spike / int4_spike.
 //
 // Emits BENCH_gemm.json via bench::BenchReport: per-(shape, density,
 // backend) GFLOP/s, the per-shape observed A-operand density histogram,
 // per-density backend totals, weight-footprint bytes per backend (the LUT
 // tier additionally reports its derived table bytes) with the headline
-// footprint_ratio, the headline sparse_spike / quantized-tier vs blocked_omp
-// speedups, the LUT-vs-spike speedups, the per-preset adaptive routing
-// summary, and — at full scale — the per-preset decision-flip-rate of the
-// quantized tier versus the scalar_ref oracle on trained models
-// (core::calibrate_quantized).
+// footprint_ratio, the headline sparse_spike / quantized-kernel vs
+// blocked_omp speedups, the LUT-vs-spike speedups, and — at full scale — the
+// per-preset decision-flip-rate of the quantized tier versus the scalar_ref
+// oracle on trained models (core::calibrate_quantized).
 //
 // In-bench acceptance gates (nonzero exit on failure):
 //   * every float backend bitwise-identical to scalar_ref — including
 //     avx512 when this machine has it (a loud skip plus a report field
 //     otherwise, so CI's fallback leg is visibly not silently green);
 //   * quantized kernels within tolerance of their dequantized product, and
-//     the LUT backends bitwise-identical to their spike counterparts;
-//   * int8_spike >= 1.5x blocked_omp wall-clock at >= 70% spike sparsity;
-//   * int4_lut >= 1.3x int4_spike wall-clock at >= 70% spike sparsity;
-//   * adaptive dispatch: engine decisions identical to scalar_ref on every
-//     dataset preset (the dispatcher may only ever change speed);
+//     the LUT backends bitwise-identical to the spike kernel;
+//   * int8 spike kernel >= 1.5x blocked_omp wall-clock at >= 70% spike
+//     sparsity;
+//   * int4_lut >= 1.3x the int4 spike kernel wall-clock at >= 70% spike
+//     sparsity;
 //   * weight-footprint reduction >= 4x (INT8) and >= 8x (INT4);
 //   * at full scale: INT8 prediction-flip-rate <= 1% and |accuracy delta|
 //     <= 2pp versus scalar_ref on every dataset preset (INT4 is reported
@@ -54,6 +55,7 @@
 #include "core/exit_policy.h"
 #include "core/quantize.h"
 #include "util/gemm.h"
+#include "util/gemm_internal.h"
 #include "util/quant.h"
 #include "util/rng.h"
 
@@ -93,7 +95,7 @@ constexpr double kAccuracyDeltaGate = 0.02;
 constexpr double kQuantRelTolerance = 1e-3;
 
 std::string density_tag(double density) {
-  return "d" + std::to_string(static_cast<int>(std::lround(density * 100)));
+  return bench::fmt("d%d", static_cast<int>(std::lround(density * 100)));
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -150,7 +152,7 @@ int main(int argc, char** argv) {
 
   bool all_identical = true;        // float tier, bitwise
   bool quant_within_tolerance = true;  // quantized tier, relative bound
-  bool lut_bitwise_matches_spike = true;  // LUT tier vs its spike twin
+  bool lut_bitwise_matches_spike = true;  // LUT tier vs the spike kernel
   // wall-clock totals per (density, backend) across all shapes
   std::map<std::string, double> total_secs;
   // resident weight bytes per backend across all shapes (what each tier
@@ -254,15 +256,28 @@ int main(int argc, char** argv) {
         }
         std::vector<float> deq_expected(s.m * s.n);
         scalar_ref.gemm(a.data(), deq_b.data(), deq_expected.data(), s.m, s.k, s.n);
-        // The spike backend's output doubles as the bitwise reference for
+        // The spike kernel's output doubles as the bitwise reference for
         // the LUT backend: same integer group sums, same float ordering.
         std::vector<float> spike_c;
         for (const char* variant : {"spike", "lut"}) {
           const std::string qname =
               std::string(q->bits() == 8 ? "int8_" : "int4_") + variant;
+          const bool spike = variant[0] == 's';
           const util::QuantizedGemmBackend* qb =
-              util::as_quantized_backend(util::find_gemm_backend(qname));
-          qb->qgemm(a.data(), *q, c.data(), s.m, s.k, s.n);
+              spike ? nullptr
+                    : util::as_quantized_backend(util::find_gemm_backend(qname));
+          const auto run = [&] {
+            if (spike) {
+              // The kernel always accumulates; zero C first, as the
+              // backends' non-accumulating qgemm does.
+              std::fill(c.begin(), c.end(), 0.0f);
+              util::internal::qgemm_spike_kernel(q->bits(), a.data(), *q, c.data(),
+                                                 s.m, s.k, s.n);
+            } else {
+              qb->qgemm(a.data(), *q, c.data(), s.m, s.k, s.n);
+            }
+          };
+          run();
           for (std::size_t i = 0; i < c.size(); ++i) {
             const double bound = kQuantRelTolerance *
                                  (1.0 + std::abs(static_cast<double>(deq_expected[i])));
@@ -276,7 +291,7 @@ int main(int argc, char** argv) {
               break;
             }
           }
-          if (variant[0] == 's') {
+          if (spike) {
             spike_c = c;
           } else if (c != spike_c) {
             lut_bitwise_matches_spike = false;
@@ -284,8 +299,7 @@ int main(int argc, char** argv) {
                         density_tag(density).c_str());
           }
 
-          const double secs = measure_secs(
-              [&] { qb->qgemm(a.data(), *q, c.data(), s.m, s.k, s.n); }, target_secs);
+          const double secs = measure_secs(run, target_secs);
           const double gflops = flops / secs / 1e9;  // dense-equivalent FLOPs
           const std::string key =
               std::string(s.tag) + "_" + density_tag(density) + "_" + qname;
@@ -364,7 +378,7 @@ int main(int argc, char** argv) {
   report.set("int8_spike_vs_blocked_omp_speedup_90pct_sparse", int8_90);
   report.set("int4_spike_vs_blocked_omp_speedup_70pct_sparse", int4_70);
   report.set("int4_spike_vs_blocked_omp_speedup_90pct_sparse", int4_90);
-  // LUT tier vs its spike twin: wall-clock across all model shapes. The
+  // LUT tier vs the spike kernel: wall-clock across all model shapes. The
   // acceptance gate is INT4 (2 codes/byte makes per-spike unpacking dearest,
   // so the table gather buys the most) in the >= 70%-sparse regime.
   const auto lut_ratio = [&](const std::string& d, const std::string& bits) {
@@ -393,7 +407,6 @@ int main(int argc, char** argv) {
   // full scale, where margins are real (a smoke-scale model is near chance
   // and its flips measure training, not quantization).
   bool flips_within_gate = true;
-  bool adaptive_identical = true;  // armed at every scale: routing is pure speed
   const bool gate_flips = options.scale >= 1.0;
   // Per-preset operating points, DT-SNN style (the paper tunes the exit
   // threshold per dataset): epochs is the training budget that saturates
@@ -423,53 +436,6 @@ int main(int argc, char** argv) {
     spec.loss = core::LossKind::kPerTimestep;
     core::Experiment e = bench::run(spec, options);
     const core::EntropyExitPolicy policy(stage.theta);
-
-    // ---- adaptive dispatch decision gate: on this trained model, engine
-    // outputs under the density-adaptive dispatcher must be identical to
-    // scalar_ref — predictions, exit timesteps, and entropies (the routing
-    // may only ever change speed). Armed at every bench scale.
-    {
-      util::reset_adaptive_gemm_state();
-      const core::InferenceRequest request = core::InferenceRequest::first_n(
-          std::min<std::size_t>(64, e.bundle.test->size()));
-      core::BatchedSequentialEngine engine(e.net, policy, spec.timesteps,
-                                           /*batch_size=*/8);
-      util::GemmContext ref_ctx(*util::find_gemm_backend("scalar_ref"));
-      e.net.set_gemm_context(&ref_ctx);
-      const auto ref_results = engine.run(*e.bundle.test, request);
-      util::GemmContext ada_ctx(*util::find_gemm_backend("adaptive"));
-      e.net.set_gemm_context(&ada_ctx);
-      const auto ada_results = engine.run(*e.bundle.test, request);
-      e.net.set_gemm_context(nullptr);
-      bool identical = ada_results.size() == ref_results.size();
-      for (std::size_t i = 0; identical && i < ada_results.size(); ++i) {
-        identical = ada_results[i].predicted_class == ref_results[i].predicted_class &&
-                    ada_results[i].exit_timestep == ref_results[i].exit_timestep &&
-                    ada_results[i].final_entropy == ref_results[i].final_entropy;
-      }
-      if (!identical) {
-        adaptive_identical = false;
-        std::printf("ADAPTIVE DECISION MISMATCH on %s\n", preset.c_str());
-      }
-      std::size_t sites = 0, sparse_sites = 0, switches = 0, routed_calls = 0;
-      for (const util::AdaptiveGemmDecision& d : util::adaptive_gemm_decisions()) {
-        ++sites;
-        sparse_sites += d.sparse ? 1 : 0;
-        switches += d.switches;
-        routed_calls += d.calls;
-      }
-      report.set("adaptive_" + preset + "_decisions_identical", identical ? "yes" : "NO");
-      report.set("adaptive_" + preset + "_call_sites", static_cast<double>(sites));
-      report.set("adaptive_" + preset + "_sparse_routed_sites",
-                 static_cast<double>(sparse_sites));
-      report.set("adaptive_" + preset + "_route_switches", static_cast<double>(switches));
-      report.set("adaptive_" + preset + "_routed_calls", static_cast<double>(routed_calls));
-      std::printf("\n%s: adaptive dispatch identical to scalar_ref: %s "
-                  "(%zu call sites, %zu sparse-routed, %zu switches, %zu NN calls)\n",
-                  preset.c_str(), identical ? "yes" : "NO", sites, sparse_sites,
-                  switches, routed_calls);
-      util::reset_adaptive_gemm_state();
-    }
 
     std::printf("\n%s: quantized-tier decision gate (%zu-timestep budget, "
                 "theta=%.2f)\n",
@@ -505,19 +471,18 @@ int main(int argc, char** argv) {
   const bool lut_speed_ok = lut4_70 >= kInt4LutSpeedupGate;
   const bool footprint_ok = footprint_ratio_int8 >= kInt8FootprintGate &&
                             footprint_ratio_int4 >= kInt4FootprintGate;
-  report.set("adaptive_decisions_identical", adaptive_identical ? "yes" : "NO");
   std::printf(
       "\nFloat backends bitwise identical to scalar_ref on every measured shape: %s "
       "(avx512: %s)\n"
       "Quantized kernels within %.0e of their dequantized product: %s\n"
-      "LUT backends bitwise identical to their spike counterparts: %s\n"
+      "LUT backends bitwise identical to the spike kernel: %s\n"
       "sparse_spike vs blocked_omp wall-clock: %.2fx at 70%% sparsity, %.2fx at 90%%\n"
       "int8_spike   vs blocked_omp wall-clock: %.2fx at 70%% sparsity, %.2fx at 90%% "
       "[gate >= %.1fx: %s]\n"
       "int4_spike   vs blocked_omp wall-clock: %.2fx at 70%% sparsity, %.2fx at 90%%\n"
       "int4_lut     vs int4_spike  wall-clock: %.2fx at 70%% sparsity, %.2fx at 90%% "
       "[gate >= %.1fx: %s]  (int8_lut: %.2fx at 70%%)\n"
-      "adaptive dispatch decisions identical on every preset: %s\n"
+      "(int8_spike / int4_spike: the spike kernel the LUT backends fall back to)\n"
       "weight footprint: %.2fx (INT8) / %.2fx (INT4) smaller than float "
       "[gates >= %.0fx / >= %.0fx: %s]\n"
       "quantized decision gate: %s\n",
@@ -526,13 +491,11 @@ int main(int argc, char** argv) {
       kQuantRelTolerance, quant_within_tolerance ? "yes" : "NO",
       lut_bitwise_matches_spike ? "yes" : "NO", sparse70, sparse90, int8_70, int8_90,
       kInt8SpeedupGate, speed_ok ? "ok" : "FAIL", int4_70, int4_90, lut4_70, lut4_90,
-      kInt4LutSpeedupGate, lut_speed_ok ? "ok" : "FAIL", lut8_70,
-      adaptive_identical ? "ok" : "FAIL", footprint_ratio_int8, footprint_ratio_int4,
-      kInt8FootprintGate, kInt4FootprintGate, footprint_ok ? "ok" : "FAIL",
+      kInt4LutSpeedupGate, lut_speed_ok ? "ok" : "FAIL", lut8_70, footprint_ratio_int8,
+      footprint_ratio_int4, kInt8FootprintGate, kInt4FootprintGate, footprint_ok ? "ok" : "FAIL",
       flips_within_gate ? "ok" : "FAIL");
   return all_identical && quant_within_tolerance && lut_bitwise_matches_spike &&
-                 speed_ok && lut_speed_ok && footprint_ok && adaptive_identical &&
-                 flips_within_gate
+                 speed_ok && lut_speed_ok && footprint_ok && flips_within_gate
              ? 0
              : 1;
 }

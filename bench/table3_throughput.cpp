@@ -236,43 +236,6 @@ int main(int argc, char** argv) {
       report.set(model + bench::fmt("_theta%.2f_avg_timesteps", theta), r1.avg_timesteps);
     }
 
-    // Density-adaptive dispatch (util/gemm.h `adaptive` router): rerun the
-    // batched theta=0.30 operating point with per-call-site sparse/dense
-    // routing. Decisions must stay bitwise identical to the default float
-    // backend (both delegates are bitwise-tier); the row records what the
-    // routing is worth end-to-end.
-    {
-      util::reset_adaptive_gemm_state();
-      util::GemmContext adaptive_ctx(*util::find_gemm_backend("adaptive"));
-      e.net.set_gemm_context(&adaptive_ctx);
-      const core::EntropyExitPolicy policy030(0.3);
-      core::BatchedSequentialEngine batched(e.net, policy030, 4, kBatch);
-      const auto ra = measure(batched, *e.bundle.test, samples);
-      e.net.set_gemm_context(nullptr);
-      core::BatchedSequentialEngine batched_float(e.net, policy030, 4, kBatch);
-      const auto rf = measure(batched_float, *e.bundle.test, samples);
-      all_identical = all_identical && identical_decisions(ra, rf);
-      std::size_t sparse_sites = 0;
-      const auto decisions = util::adaptive_gemm_decisions();
-      for (const auto& d : decisions) sparse_sites += d.sparse ? 1 : 0;
-      util::reset_adaptive_gemm_state();
-      report.set(model + "_adaptive_theta0.30_batch32_images_per_sec",
-                 ra.images_per_sec);
-      report.set(model + "_adaptive_theta0.30_batch32_vs_float_speedup",
-                 rf.images_per_sec > 0.0 ? ra.images_per_sec / rf.images_per_sec
-                                         : 0.0);
-      report.set(model + "_adaptive_call_sites",
-                 static_cast<double>(decisions.size()));
-      report.set(model + "_adaptive_sparse_routed_sites",
-                 static_cast<double>(sparse_sites));
-      std::printf(
-          "  adaptive @ theta=0.30 batch32: %.1f img/s (%.2fx of float), "
-          "%zu/%zu call sites sparse-routed\n",
-          ra.images_per_sec,
-          rf.images_per_sec > 0.0 ? ra.images_per_sec / rf.images_per_sec : 0.0,
-          sparse_sites, decisions.size());
-    }
-
     // Quantized GEMM tier (util/gemm.h, tolerance-gated identity): calibrate
     // INT8/INT4 weights against the float oracle on the measured samples,
     // then rerun the batched DT-SNN operating point theta=0.30 under the
@@ -285,36 +248,30 @@ int main(int argc, char** argv) {
       const core::EntropyExitPolicy policy030(0.3);
       const core::QuantCalibrationReport qr = core::calibrate_quantized(
           e.net, *e.bundle.test, policy030, 4, config);
-      // One calibration serves both kernel shapes: the LUT twin consumes the
-      // same codes/scales (bit-identical outputs), so its row differs only
-      // in throughput.
-      const char* spike_name = bits == 8 ? "int8_spike" : "int4_spike";
-      const char* lut_name = bits == 8 ? "int8_lut" : "int4_lut";
-      for (const char* backend_name : {spike_name, lut_name}) {
-        util::GemmContext quant_ctx(
-            *util::as_quantized_backend(util::find_gemm_backend(backend_name)));
-        e.net.set_gemm_context(&quant_ctx);
-        core::BatchedSequentialEngine batched(e.net, policy030, 4, kBatch);
-        const auto rq = measure(batched, *e.bundle.test, samples);
-        e.net.set_gemm_context(nullptr);
+      const char* backend_name = bits == 8 ? "int8_lut" : "int4_lut";
+      util::GemmContext quant_ctx(
+          *util::as_quantized_backend(util::find_gemm_backend(backend_name)));
+      e.net.set_gemm_context(&quant_ctx);
+      core::BatchedSequentialEngine batched(e.net, policy030, 4, kBatch);
+      const auto rq = measure(batched, *e.bundle.test, samples);
+      e.net.set_gemm_context(nullptr);
 
-        const std::string prefix = model + "_" + backend_name;
-        report.set(prefix + "_theta0.30_batch32_images_per_sec", rq.images_per_sec);
-        report.set(prefix + "_theta0.30_batch32_vs_float_speedup",
-                   float_b32_theta030 > 0.0 ? rq.images_per_sec / float_b32_theta030
-                                            : 0.0);
-        report.set(prefix + "_prediction_flip_rate", qr.diff.prediction_flip_rate);
-        report.set(prefix + "_exit_flip_rate", qr.diff.exit_flip_rate);
-        report.set(prefix + "_accuracy_delta", qr.accuracy_delta);
-        report.set(prefix + "_weight_footprint_ratio", qr.footprint_ratio);
-        std::printf(
-            "  %s @ theta=0.30 batch32: %.1f img/s (%.2fx of float), flips %.2f%%, "
-            "accuracy %+.2fpp, weights %.1fx smaller\n",
-            backend_name, rq.images_per_sec,
-            float_b32_theta030 > 0.0 ? rq.images_per_sec / float_b32_theta030 : 0.0,
-            100 * qr.diff.prediction_flip_rate, 100 * qr.accuracy_delta,
-            qr.footprint_ratio);
-      }
+      const std::string prefix = model + "_" + backend_name;
+      report.set(prefix + "_theta0.30_batch32_images_per_sec", rq.images_per_sec);
+      report.set(prefix + "_theta0.30_batch32_vs_float_speedup",
+                 float_b32_theta030 > 0.0 ? rq.images_per_sec / float_b32_theta030
+                                          : 0.0);
+      report.set(prefix + "_prediction_flip_rate", qr.diff.prediction_flip_rate);
+      report.set(prefix + "_exit_flip_rate", qr.diff.exit_flip_rate);
+      report.set(prefix + "_accuracy_delta", qr.accuracy_delta);
+      report.set(prefix + "_weight_footprint_ratio", qr.footprint_ratio);
+      std::printf(
+          "  %s @ theta=0.30 batch32: %.1f img/s (%.2fx of float), flips %.2f%%, "
+          "accuracy %+.2fpp, weights %.1fx smaller\n",
+          backend_name, rq.images_per_sec,
+          float_b32_theta030 > 0.0 ? rq.images_per_sec / float_b32_theta030 : 0.0,
+          100 * qr.diff.prediction_flip_rate, 100 * qr.accuracy_delta,
+          qr.footprint_ratio);
     }
     snn::clear_network_quantized_weights(e.net);
 

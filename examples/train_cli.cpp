@@ -49,9 +49,10 @@ struct CliArgs {
         "           [--scale F] [--seed S] --out FILE\n"
         "  %s eval  --model M --dataset D [--timesteps T] --ckpt FILE\n"
         "           [--theta TH] [--noise] [--scale F]\n"
-        "common: --gemm-backend scalar_ref|blocked_omp|avx2|sparse_spike\n"
-        "                       |int8_spike|int4_spike (need calibrated scales)\n"
-        "        (default: DTSNN_GEMM_BACKEND env, else avx2 when supported)\n"
+        "common: --gemm-backend scalar_ref|blocked_omp|avx2|avx512|sparse_spike\n"
+        "                       |int8_lut|int4_lut (need calibrated scales)\n"
+        "        (default: DTSNN_GEMM_BACKEND env, else the best the CPU runs:\n"
+        "         avx512 > avx2 > blocked_omp)\n"
         "models: vgg_mini vgg_micro resnet_mini resnet_micro\n"
         "datasets: sync10 sync100 syntin syndvs\n",
         argv0, argv0);

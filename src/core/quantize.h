@@ -1,6 +1,6 @@
 // Post-training quantization calibration and the shared tolerance gate.
 //
-// The quantized GEMM tier (util/gemm.h, int8_spike / int4_spike) trades the
+// The quantized GEMM tier (util/gemm.h, int8_lut / int4_lut) trades the
 // bitwise identity contract for a measured one: decisions may flip versus
 // the float oracle, but the flip rate and accuracy delta must stay inside
 // configured bounds per dataset preset. calibrate_quantized() is the

@@ -11,8 +11,7 @@ namespace dtsnn::snn {
 namespace {
 
 // The sparse/dense kernel decisions below key on snn::kSparseDensityThreshold
-// (snn/layer.h), shared with Linear and matched by the adaptive GEMM
-// backend's hysteresis enter threshold.
+// (snn/layer.h), shared with Linear.
 
 /// [N*OHW, Cout] row-per-pixel layout -> NCHW [N, Cout, OH, OW].
 void pixels_to_nchw(const Tensor& pix, std::size_t n, std::size_t c, std::size_t oh,
@@ -204,10 +203,10 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     // the float tier. Requires calibrated weights at this backend's
     // bit-width — fails loudly otherwise.
     require_quantized_weights(*qb, qweight_, "Conv2d");
-    // LUT backends run fastest off a cached spike-mask table; build it once
-    // per quantized weight matrix (derived data, same single-threaded
+    // The quantized backends run off a cached spike-mask table; build it
+    // once per quantized weight matrix (derived data, same single-threaded
     // dispatch discipline as the cached W^T below).
-    if (qb->prefers_lut()) qweight_.ensure_lut();
+    qweight_.ensure_lut();
     im2col(x, geom_, col);
     gemm.qgemm(col.data(), qweight_, pix.data(), n * oh * ow, patch, out_channels_);
   } else {

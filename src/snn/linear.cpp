@@ -65,9 +65,10 @@ Tensor Linear::forward(const Tensor& x, bool train) {
     // Requires calibrated weights at this backend's bit-width — fails loudly
     // otherwise. Training forwards never take this path.
     require_quantized_weights(*qb, qweight_, "Linear");
-    // LUT backends run fastest off a cached spike-mask table; build it once
-    // per quantized weight matrix (derived data, single-threaded dispatch).
-    if (qb->prefers_lut()) qweight_.ensure_lut();
+    // The quantized backends run off a cached spike-mask table; build it
+    // once per quantized weight matrix (derived data, single-threaded
+    // dispatch).
+    qweight_.ensure_lut();
     gemm.qgemm(x.data(), qweight_, out.data(), n, in_features_, out_features_);
   } else if (!train && x.density() < kSparseDensityThreshold) {
     // out = x * W^T in the A-stationary zero-skip NN form against the cached
@@ -76,8 +77,7 @@ Tensor Linear::forward(const Tensor& x, bool train) {
     // zero-spike terms only ever contribute ±0, and the final add into the
     // zeroed output restores +0 in both forms), so — exactly as in
     // Conv2d::forward — this is purely a speed decision, and it hands the
-    // sparse NN op to the backends (sparse_spike, adaptive routing) that
-    // exploit it.
+    // sparse NN op to the backend (sparse_spike) that exploits it.
     gemm.gemm(x.data(), ensure_weight_transpose(), out.data(), n, in_features_,
               out_features_);
   } else {

@@ -31,12 +31,6 @@ bool prepare_output(float* c, std::size_t m, std::size_t k, std::size_t n,
 
 }  // namespace
 
-const GemmBackend& GemmBackend::route(GemmOp /*op*/, double /*a_density*/,
-                                      std::size_t /*m*/, std::size_t /*k*/,
-                                      std::size_t /*n*/) const {
-  return *this;
-}
-
 void GemmBackend::gemm(const float* a, const float* b, float* c, std::size_t m,
                        std::size_t k, std::size_t n, bool accumulate) const {
   if (prepare_output(c, m, k, n, accumulate)) do_gemm(a, b, c, m, k, n);
@@ -323,127 +317,7 @@ std::size_t count_nonzeros(const float* a, std::size_t count) {
   return count - zeros;
 }
 
-// ---- adaptive: density-routing pseudo-backend. Holds no kernels of its
-// own; every call executes on either sparse_spike or the best dense backend,
-// chosen per call-site shape from the observed A-density with hysteresis.
-// Both routes are bitwise-tier, so any routing history yields bit-identical
-// outputs — the hysteresis only stabilizes *performance* across timesteps
-// whose density hovers near the threshold. Decisions are pure functions of
-// the data (density), never of timing.
-
-/// Enter the sparse route at or below this A-density (matches the layers'
-/// historical sparse-kernel threshold) ...
-constexpr double kAdaptiveSparseEnter = 0.35;
-/// ... and leave it again only at or above this density.
-constexpr double kAdaptiveSparseExit = 0.50;
-
-class AdaptiveBackend final : public GemmBackend {
- public:
-  [[nodiscard]] std::string_view name() const override { return "adaptive"; }
-  [[nodiscard]] bool routes_by_density() const override { return true; }
-
-  [[nodiscard]] const GemmBackend& route(GemmOp op, double a_density, std::size_t m,
-                                         std::size_t k,
-                                         std::size_t n) const override {
-    // Only the NN op carries spike activations in A; gradients and B^T dot
-    // products are dense by construction.
-    if (op != GemmOp::kNN) return dense();
-    MutexLock lock(mutex_);
-    State& st = states_[Key{m, k, n}];
-    if (st.calls == 0) {
-      st.sparse = a_density <= kAdaptiveSparseEnter;
-    } else if (st.sparse && a_density >= kAdaptiveSparseExit) {
-      st.sparse = false;
-      ++st.switches;
-    } else if (!st.sparse && a_density <= kAdaptiveSparseEnter) {
-      st.sparse = true;
-      ++st.switches;
-    }
-    ++st.calls;
-    st.last_density = a_density;
-    return st.sparse ? sparse() : dense();
-  }
-
-  [[nodiscard]] std::vector<AdaptiveGemmDecision> decisions() const
-      DTSNN_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    std::vector<AdaptiveGemmDecision> out;
-    out.reserve(states_.size());
-    for (const auto& [key, st] : states_) {
-      out.push_back({key.m, key.k, key.n, st.sparse, st.last_density, st.calls,
-                     st.switches});
-    }
-    return out;
-  }
-
-  void reset() DTSNN_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    states_.clear();
-  }
-
- protected:
-  // Direct (context-free) calls measure the density themselves so routing
-  // still works; delegates run through their public wrappers in accumulate
-  // mode — C was already prepared by this backend's own wrapper.
-  void do_gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-               std::size_t n) const override {
-    const double density =
-        static_cast<double>(count_nonzeros(a, m * k)) / static_cast<double>(m * k);
-    route(GemmOp::kNN, density, m, k, n).gemm(a, b, c, m, k, n, /*accumulate=*/true);
-  }
-  void do_gemm_at(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n) const override {
-    dense().gemm_at(a, b, c, m, k, n, /*accumulate=*/true);
-  }
-  void do_gemm_bt(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n) const override {
-    dense().gemm_bt(a, b, c, m, k, n, /*accumulate=*/true);
-  }
-
- private:
-  struct Key {
-    std::size_t m, k, n;
-    [[nodiscard]] bool operator<(const Key& o) const {
-      if (m != o.m) return m < o.m;
-      if (k != o.k) return k < o.k;
-      return n < o.n;
-    }
-  };
-  struct State {
-    bool sparse = false;
-    double last_density = 0.0;
-    std::size_t calls = 0;
-    std::size_t switches = 0;
-  };
-
-  // Delegates resolve lazily (first routed call): the adaptive backend is
-  // constructed while the registry vector is still being built, so looking
-  // them up in the constructor would recurse into gemm_backends().
-  [[nodiscard]] static const GemmBackend& dense() {
-    static const GemmBackend& backend = preferred_dense_gemm_backend();
-    return backend;
-  }
-  [[nodiscard]] static const GemmBackend& sparse() {
-    static const GemmBackend& backend = *find_gemm_backend("sparse_spike");
-    return backend;
-  }
-
-  mutable Mutex mutex_;
-  mutable std::map<Key, State> states_ DTSNN_GUARDED_BY(mutex_);
-};
-
-AdaptiveBackend& adaptive_backend_singleton() {
-  static AdaptiveBackend backend;
-  return backend;
-}
-
 }  // namespace
-
-std::vector<AdaptiveGemmDecision> adaptive_gemm_decisions() {
-  return adaptive_backend_singleton().decisions();
-}
-
-void reset_adaptive_gemm_state() { adaptive_backend_singleton().reset(); }
 
 // ------------------------------------------------- shared gemm_bt helpers
 
@@ -501,12 +375,9 @@ std::span<const GemmBackend* const> gemm_backends() {
     if (const GemmBackend* avx2 = avx2_backend_or_null()) v.push_back(avx2);
     if (const GemmBackend* avx512 = avx512_backend_or_null()) v.push_back(avx512);
     v.push_back(&sparse_spike);
-    v.push_back(&adaptive_backend_singleton());
     // Quantized tier: listed and forceable by name, but never auto-selected
     // (resolve_gemm_backend's automatic path considers bitwise backends only,
     // since the quantized tier additionally requires calibrated weights).
-    v.push_back(int8_spike_backend());
-    v.push_back(int4_spike_backend());
     v.push_back(int8_lut_backend());
     v.push_back(int4_lut_backend());
     return v;
@@ -563,9 +434,6 @@ const GemmBackend& resolve_gemm_backend(const char* override_name) {
     }
     return *forced;
   }
-  if (env_flag("DTSNN_GEMM_ADAPTIVE").value_or(false)) {
-    return *find_gemm_backend("adaptive");
-  }
   return preferred_dense_gemm_backend();
 }
 
@@ -588,48 +456,39 @@ GemmContext& GemmContext::global() {
   return context;
 }
 
-const GemmBackend& GemmContext::route_and_record(GemmOpStats GemmOpBreakdown::* op,
-                                                 GemmOp kind, const float* a,
-                                                 std::size_t m, std::size_t k,
-                                                 std::size_t n) {
-  const bool routes = backend_->routes_by_density();
-  if (!stats_enabled_ && !routes) return *backend_;
+void GemmContext::record(GemmOpStats GemmOpBreakdown::* op, const float* a,
+                         std::size_t m, std::size_t k, std::size_t n) {
+  if (!stats_enabled_) return;
   const double elements = static_cast<double>(m) * static_cast<double>(k);
   const std::size_t nnz = m && k ? count_nonzeros(a, m * k) : 0;
-  const double density = elements > 0.0 ? static_cast<double>(nnz) / elements : 0.0;
-  const GemmBackend& executed =
-      routes ? backend_->route(kind, density, m, k, n) : *backend_;
-  if (stats_enabled_) {
-    const double flops = 2.0 * elements * static_cast<double>(n);
-    MutexLock lock(mutex_);
-    for (GemmOpStats* s : {&(stats_.*op),
-                           &(stats_.by_backend[std::string(executed.name())].*op)}) {
-      ++s->calls;
-      s->flops += flops;
-      s->a_elements += elements;
-      s->a_nonzeros += static_cast<double>(nnz);
-    }
+  const double flops = 2.0 * elements * static_cast<double>(n);
+  MutexLock lock(mutex_);
+  for (GemmOpStats* s :
+       {&(stats_.*op), &(stats_.by_backend[std::string(backend_->name())].*op)}) {
+    ++s->calls;
+    s->flops += flops;
+    s->a_elements += elements;
+    s->a_nonzeros += static_cast<double>(nnz);
   }
-  return executed;
 }
 
 void GemmContext::gemm(const float* a, const float* b, float* c, std::size_t m,
                        std::size_t k, std::size_t n, bool accumulate) {
-  route_and_record(&GemmOpBreakdown::nn, GemmOp::kNN, a, m, k, n)
-      .gemm(a, b, c, m, k, n, accumulate);
+  record(&GemmOpBreakdown::nn, a, m, k, n);
+  backend_->gemm(a, b, c, m, k, n, accumulate);
 }
 
 void GemmContext::gemm_at(const float* a, const float* b, float* c, std::size_t m,
                           std::size_t k, std::size_t n, bool accumulate) {
   // A is stored [k, m]; element count is the same either way.
-  route_and_record(&GemmOpBreakdown::at, GemmOp::kAT, a, m, k, n)
-      .gemm_at(a, b, c, m, k, n, accumulate);
+  record(&GemmOpBreakdown::at, a, m, k, n);
+  backend_->gemm_at(a, b, c, m, k, n, accumulate);
 }
 
 void GemmContext::gemm_bt(const float* a, const float* b, float* c, std::size_t m,
                           std::size_t k, std::size_t n, bool accumulate) {
-  route_and_record(&GemmOpBreakdown::bt, GemmOp::kBT, a, m, k, n)
-      .gemm_bt(a, b, c, m, k, n, accumulate);
+  record(&GemmOpBreakdown::bt, a, m, k, n);
+  backend_->gemm_bt(a, b, c, m, k, n, accumulate);
 }
 
 void GemmContext::qgemm(const float* a, const QuantizedMatrix& q, float* c,
@@ -642,7 +501,7 @@ void GemmContext::qgemm(const float* a, const QuantizedMatrix& q, float* c,
         format("qgemm dispatched to non-quantized GEMM backend '%.*s'",
                static_cast<int>(backend_->name().size()), backend_->name().data()));
   }
-  route_and_record(&GemmOpBreakdown::quant, GemmOp::kQuant, a, m, k, n);
+  record(&GemmOpBreakdown::quant, a, m, k, n);
   qb->qgemm(a, q, c, m, k, n, accumulate);
 }
 

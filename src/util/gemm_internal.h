@@ -22,13 +22,10 @@ const GemmBackend* avx2_backend_or_null();
 /// the fallback build). Same compile-time/runtime split as avx2.
 const GemmBackend* avx512_backend_or_null();
 
-/// The quantized-tier backend singletons (gemm_quant.cpp, gemm_lut.cpp).
-/// Always compiled in and available — their kernels are portable
-/// scalar/omp-simd code (the LUT accumulate upgrades itself to AVX2 at
-/// runtime); what gates their use is calibrated weights, enforced at
-/// dispatch time.
-const GemmBackend* int8_spike_backend();
-const GemmBackend* int4_spike_backend();
+/// The quantized-tier backend singletons (gemm_lut.cpp). Always compiled in
+/// and available — their kernels are portable scalar/omp-simd code (the LUT
+/// accumulate upgrades itself to AVX2 at runtime); what gates their use is
+/// calibrated weights, enforced at dispatch time.
 const GemmBackend* int8_lut_backend();
 const GemmBackend* int4_lut_backend();
 
@@ -91,9 +88,11 @@ void lut_group_accum_scalar(const std::int16_t* table, const std::uint32_t* entr
 LutMaskBuildFn lut_mask_build_fn();
 LutGroupAccumFn lut_group_accum_fn();
 
-/// The spike-path quantized kernel (gemm_quant.cpp), shared by the LUT
-/// backends' small-batch fallback. bits must be 8 or 4; the caller has
-/// already validated shapes and zeroed/kept C (always accumulates).
+/// The spike-path quantized kernel (gemm_quant.cpp): the LUT backends'
+/// small-batch fallback, and the bitwise reference for their table path
+/// (tests and bench/gemm_microbench compare against it directly). bits must
+/// be 8 or 4; the caller has already validated shapes and zeroed/kept C
+/// (always accumulates).
 void qgemm_spike_kernel(int bits, const float* a, const QuantizedMatrix& q,
                         float* c, std::size_t m, std::size_t k, std::size_t n);
 

@@ -1,6 +1,8 @@
-// Quantized-tier GEMM backends: int8_spike and int4_spike.
+// The spike-path quantized GEMM kernel (internal::qgemm_spike_kernel): the
+// int8_lut / int4_lut backends' small-batch fallback and the bitwise
+// reference their table path is tested against.
 //
-// Both consume util::QuantizedMatrix weights (k-major packed codes,
+// It consumes util::QuantizedMatrix weights (k-major packed codes,
 // group-wise symmetric scales; see util/quant.h) against spike activations
 // in A. The kernel shape follows sparse_spike: each A row is branchlessly
 // compressed to (index, value) pairs, then processed group-by-group along k.
@@ -14,26 +16,18 @@
 // Accumulation order is fixed (ascending k within a group, ascending groups,
 // rows independent), so outputs are deterministic and batch-composition
 // invariant — but quantization error makes them tolerance-gated, not
-// bitwise, versus the float tier (GemmIdentityTier::kToleranceGated). The
-// plain float ops delegate to the blocked kernels and stay on the bitwise
-// contract.
+// bitwise, versus the float tier (GemmIdentityTier::kToleranceGated).
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "util/gemm.h"
 #include "util/gemm_internal.h"
 #include "util/quant.h"
 
 namespace dtsnn::util {
 
 namespace {
-
-const GemmBackend& blocked_backend() {
-  static const GemmBackend& backend = *find_gemm_backend("blocked_omp");
-  return backend;
-}
 
 /// Decode one INT4 code from its offset-binary nibble (low = even column).
 inline int decode_nibble(std::uint8_t byte, bool high) {
@@ -132,47 +126,7 @@ void qgemm_kernel(const float* a, const QuantizedMatrix& q, float* c, std::size_
   }
 }
 
-template <int kBits>
-class QuantSpikeBackend final : public QuantizedGemmBackend {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return kBits == 8 ? "int8_spike" : "int4_spike";
-  }
-  [[nodiscard]] int weight_bits() const override { return kBits; }
-
- protected:
-  void do_qgemm(const float* a, const QuantizedMatrix& q, float* c, std::size_t m,
-                std::size_t k, std::size_t n) const override {
-    qgemm_kernel<kBits>(a, q, c, m, k, n);
-  }
-
-  // Float ops (training, non-weight GEMMs) have nothing to quantize;
-  // delegate to the blocked kernels, which keep the bitwise contract.
-  void do_gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
-               std::size_t n) const override {
-    blocked_backend().gemm(a, b, c, m, k, n, /*accumulate=*/true);
-  }
-  void do_gemm_at(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n) const override {
-    blocked_backend().gemm_at(a, b, c, m, k, n, /*accumulate=*/true);
-  }
-  void do_gemm_bt(const float* a, const float* b, float* c, std::size_t m,
-                  std::size_t k, std::size_t n) const override {
-    blocked_backend().gemm_bt(a, b, c, m, k, n, /*accumulate=*/true);
-  }
-};
-
 }  // namespace
-
-const GemmBackend* int8_spike_backend() {
-  static const QuantSpikeBackend<8> backend;
-  return &backend;
-}
-
-const GemmBackend* int4_spike_backend() {
-  static const QuantSpikeBackend<4> backend;
-  return &backend;
-}
 
 namespace internal {
 

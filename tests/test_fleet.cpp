@@ -80,7 +80,8 @@ void expect_identical(const InferenceResult& served, const InferenceResult& orac
 /// the pool) while a test submits, cancels, or inspects stats. Exits every
 /// sample once released (or never, with exit_on_release=false).
 struct GatePolicy final : core::ExitPolicy {
-  explicit GatePolicy(bool exit_on_release = true) : exit_on_release(exit_on_release) {}
+  explicit GatePolicy(bool exit_when_released = true)
+      : exit_on_release(exit_when_released) {}
   mutable std::atomic<bool> released{false};
   mutable std::atomic<bool> blocked{false};
   bool exit_on_release;

@@ -62,25 +62,51 @@ const char* fill_name(Fill fill) {
 // ----------------------------------------------------------------- registry
 
 TEST(GemmRegistry, ShipsAllBackends) {
-  // scalar_ref, blocked_omp, sparse_spike, adaptive, and the quantized tier
-  // (spike and LUT variants) are unconditional; the ISA backends (avx2,
-  // avx512) are present whenever the toolchain could target them (this
-  // repo's CI always can), and must be consistently gated by runtime CPUID.
+  // scalar_ref, blocked_omp, sparse_spike, and the quantized LUT tier are
+  // unconditional; the ISA backends (avx2, avx512) are present whenever the
+  // toolchain could target them (this repo's CI always can), and must be
+  // consistently gated by runtime CPUID. Nothing else is registered.
   for (const char* name :
-       {"scalar_ref", "blocked_omp", "sparse_spike", "adaptive", "int8_spike",
-        "int4_spike", "int8_lut", "int4_lut"}) {
+       {"scalar_ref", "blocked_omp", "sparse_spike", "int8_lut", "int4_lut"}) {
     const util::GemmBackend* backend = util::find_gemm_backend(name);
     ASSERT_NE(backend, nullptr) << name;
     EXPECT_TRUE(backend->available()) << name;
     EXPECT_EQ(backend->name(), name);
   }
+  std::vector<std::string> expected{"scalar_ref", "blocked_omp"};
   if (const util::GemmBackend* avx2 = util::find_gemm_backend("avx2")) {
     EXPECT_EQ(avx2->available(), util::cpu_supports_avx2());
+    expected.emplace_back("avx2");
   }
   if (const util::GemmBackend* avx512 = util::find_gemm_backend("avx512")) {
     EXPECT_EQ(avx512->available(), util::cpu_supports_avx512());
+    expected.emplace_back("avx512");
   }
+  for (const char* name : {"sparse_spike", "int8_lut", "int4_lut"}) {
+    expected.emplace_back(name);
+  }
+  std::vector<std::string> registered;
+  for (const util::GemmBackend* backend : util::gemm_backends()) {
+    registered.emplace_back(backend->name());
+  }
+  EXPECT_EQ(registered, expected);
   EXPECT_EQ(util::find_gemm_backend("no_such_backend"), nullptr);
+
+  // Names that are no longer registered must fail loudly with the registry
+  // listing, so a stale DTSNN_GEMM_BACKEND value cannot fall back silently.
+  for (const char* retired : {"adaptive", "int8_spike", "int4_spike"}) {
+    EXPECT_EQ(util::find_gemm_backend(retired), nullptr) << retired;
+    try {
+      util::resolve_gemm_backend(retired);
+      FAIL() << "retired backend name " << retired << " must not resolve";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(retired), std::string::npos) << msg;
+      for (const std::string& name : registered) {
+        EXPECT_NE(msg.find(name), std::string::npos) << msg << " should list " << name;
+      }
+    }
+  }
 }
 
 TEST(GemmRegistry, IdentityTiers) {
@@ -95,24 +121,18 @@ TEST(GemmRegistry, IdentityTiers) {
   }
   EXPECT_EQ(util::find_gemm_backend("scalar_ref")->identity_tier(),
             util::GemmIdentityTier::kBitwise);
-  const auto* int8 = util::as_quantized_backend(util::find_gemm_backend("int8_spike"));
-  const auto* int4 = util::as_quantized_backend(util::find_gemm_backend("int4_spike"));
-  ASSERT_NE(int8, nullptr);
-  ASSERT_NE(int4, nullptr);
-  EXPECT_EQ(int8->weight_bits(), 8);
-  EXPECT_EQ(int4->weight_bits(), 4);
-  // The LUT variants share the spike backends' bit-widths and are the only
-  // backends that want a cached spike-mask table built on the weights.
+  // Exactly the two LUT backends form the quantized tier, one per bit-width.
+  std::size_t quantized = 0;
+  for (const util::GemmBackend* backend : util::gemm_backends()) {
+    quantized += util::as_quantized_backend(backend) != nullptr ? 1 : 0;
+  }
+  EXPECT_EQ(quantized, 2u);
   const auto* int8_lut = util::as_quantized_backend(util::find_gemm_backend("int8_lut"));
   const auto* int4_lut = util::as_quantized_backend(util::find_gemm_backend("int4_lut"));
   ASSERT_NE(int8_lut, nullptr);
   ASSERT_NE(int4_lut, nullptr);
   EXPECT_EQ(int8_lut->weight_bits(), 8);
   EXPECT_EQ(int4_lut->weight_bits(), 4);
-  EXPECT_TRUE(int8_lut->prefers_lut());
-  EXPECT_TRUE(int4_lut->prefers_lut());
-  EXPECT_FALSE(int8->prefers_lut());
-  EXPECT_FALSE(int4->prefers_lut());
   // Auto-selection must never pick the quantized tier (it additionally
   // requires calibrated weights).
   EXPECT_EQ(util::resolve_gemm_backend(nullptr).identity_tier(),
@@ -166,128 +186,6 @@ TEST(GemmRegistry, ResolutionRules) {
   EXPECT_EQ(&util::resolve_gemm_backend(""), &automatic);
 }
 
-// ------------------------------------------------------- adaptive dispatch
-
-/// The adaptive pseudo-backend routes purely from the observed A-density
-/// with hysteresis: enter the sparse route at density <= 0.35, leave it only
-/// at >= 0.50, and hold the current route inside the band. State is
-/// per-(m,k,n) call-site and introspectable; non-NN ops always go dense.
-TEST(AdaptiveGemm, HysteresisRoutesByDensityOnly) {
-  util::reset_adaptive_gemm_state();
-  const util::GemmBackend& adaptive = *util::find_gemm_backend("adaptive");
-  ASSERT_TRUE(adaptive.routes_by_density());
-  // Plain backends route to themselves.
-  const util::GemmBackend& ref = *util::find_gemm_backend("scalar_ref");
-  EXPECT_FALSE(ref.routes_by_density());
-  EXPECT_EQ(&ref.route(util::GemmOp::kNN, 0.0, 1, 1, 1), &ref);
-
-  const std::string dense_name(util::preferred_dense_gemm_backend().name());
-  const std::size_t m = 6, k = 40, n = 9;  // distinctive call-site key
-  const auto route_name = [&](double density) {
-    return std::string(adaptive.route(util::GemmOp::kNN, density, m, k, n).name());
-  };
-  EXPECT_EQ(route_name(0.10), "sparse_spike");  // first call: enter test
-  EXPECT_EQ(route_name(0.45), "sparse_spike");  // inside band: hold sparse
-  EXPECT_EQ(route_name(0.50), dense_name);      // at exit threshold: flip
-  EXPECT_EQ(route_name(0.45), dense_name);      // inside band: hold dense
-  EXPECT_EQ(route_name(0.35), "sparse_spike");  // at enter threshold: flip
-
-  // Gradients and B^T dot products are dense by construction — never routed
-  // sparse, regardless of density.
-  EXPECT_EQ(adaptive.route(util::GemmOp::kAT, 0.0, m, k, n).name(), dense_name);
-  EXPECT_EQ(adaptive.route(util::GemmOp::kBT, 0.0, m, k, n).name(), dense_name);
-
-  const auto decisions = util::adaptive_gemm_decisions();
-  ASSERT_EQ(decisions.size(), 1u);
-  EXPECT_EQ(decisions[0].m, m);
-  EXPECT_EQ(decisions[0].k, k);
-  EXPECT_EQ(decisions[0].n, n);
-  EXPECT_TRUE(decisions[0].sparse);
-  EXPECT_EQ(decisions[0].calls, 5u);
-  EXPECT_EQ(decisions[0].switches, 2u);
-  EXPECT_DOUBLE_EQ(decisions[0].last_density, 0.35);
-
-  // A different shape is an independent call-site with fresh state.
-  EXPECT_EQ(std::string(adaptive.route(util::GemmOp::kNN, 0.9, m, k, n + 1).name()),
-            dense_name);
-  EXPECT_EQ(util::adaptive_gemm_decisions().size(), 2u);
-  util::reset_adaptive_gemm_state();
-  EXPECT_TRUE(util::adaptive_gemm_decisions().empty());
-}
-
-/// Satellite contract: under adaptive dispatch, GemmContext::stats() must
-/// attribute each call to the backend that actually *executed* it, and the
-/// by_backend slices must sum exactly to the aggregate across a mixed
-/// sparse/dense sequence.
-TEST(AdaptiveGemm, StatsAttributionFollowsExecutedBackend) {
-  util::reset_adaptive_gemm_state();
-  util::GemmContext ctx(*util::find_gemm_backend("adaptive"));
-  const std::string dense_name(util::preferred_dense_gemm_backend().name());
-
-  const std::size_t m = 5, k = 32, n = 7;
-  const auto sparse_a = make_matrix(m, k, Fill::kSparse90Binary, 21);  // ~10% dense
-  const auto dense_a = make_matrix(m + 1, k, Fill::kDense, 22);
-  const auto b = make_matrix(k, n, Fill::kDense, 23);
-  std::vector<float> c(m * n), c2((m + 1) * n);
-
-  // 3 sparse-routed NN calls, 2 dense-routed NN calls on a second shape,
-  // and one gemm_at (always dense).
-  for (int i = 0; i < 3; ++i) ctx.gemm(sparse_a.data(), b.data(), c.data(), m, k, n);
-  for (int i = 0; i < 2; ++i)
-    ctx.gemm(dense_a.data(), b.data(), c2.data(), m + 1, k, n);
-  const auto at = make_matrix(k, m, Fill::kDense, 24);
-  std::vector<float> cat(m * n);
-  ctx.gemm_at(at.data(), b.data(), cat.data(), m, k, n);
-
-  const util::GemmStats s = ctx.stats();
-  EXPECT_EQ(s.nn.calls, 5u);
-  EXPECT_EQ(s.at.calls, 1u);
-  ASSERT_EQ(s.by_backend.size(), 2u);
-  ASSERT_EQ(s.by_backend.count("sparse_spike"), 1u);
-  ASSERT_EQ(s.by_backend.count(dense_name), 1u);
-  const util::GemmOpBreakdown& sp = s.by_backend.at("sparse_spike");
-  const util::GemmOpBreakdown& de = s.by_backend.at(dense_name);
-  EXPECT_EQ(sp.nn.calls, 3u);
-  EXPECT_EQ(sp.at.calls, 0u);
-  EXPECT_EQ(sp.bt.calls, 0u);
-  EXPECT_EQ(de.nn.calls, 2u);
-  EXPECT_EQ(de.at.calls, 1u);
-
-  // Conservation: every counter sums exactly across the slices.
-  EXPECT_EQ(sp.calls() + de.calls(), s.calls());
-  EXPECT_EQ(sp.nn.calls + de.nn.calls, s.nn.calls);
-  EXPECT_DOUBLE_EQ(sp.flops() + de.flops(), s.flops());
-  EXPECT_DOUBLE_EQ(sp.nn.flops + de.nn.flops, s.nn.flops);
-  EXPECT_DOUBLE_EQ(sp.elements() + de.elements(), s.elements());
-  EXPECT_DOUBLE_EQ(sp.nonzeros() + de.nonzeros(), s.nonzeros());
-
-  // The adaptively-routed result is still bitwise identical to scalar_ref.
-  std::vector<float> expected(m * n);
-  util::find_gemm_backend("scalar_ref")
-      ->gemm(sparse_a.data(), b.data(), expected.data(), m, k, n);
-  EXPECT_EQ(c, expected);
-
-  // Disabled accounting records nothing, but routing still works.
-  ctx.set_stats_enabled(false);
-  std::vector<float> c3(m * n);
-  ctx.gemm(sparse_a.data(), b.data(), c3.data(), m, k, n);
-  EXPECT_EQ(c3, expected);
-  EXPECT_EQ(ctx.stats().calls(), s.calls());
-  ctx.set_stats_enabled(true);
-
-  // A plain backend attributes everything to itself: one slice matching the
-  // aggregate.
-  util::GemmContext plain(*util::find_gemm_backend("scalar_ref"));
-  plain.gemm(sparse_a.data(), b.data(), c3.data(), m, k, n);
-  plain.gemm_bt(sparse_a.data(), b.data(), c3.data(), m, k, n);  // b viewed [n,k]
-  const util::GemmStats ps = plain.stats();
-  ASSERT_EQ(ps.by_backend.size(), 1u);
-  EXPECT_EQ(ps.by_backend.begin()->first, "scalar_ref");
-  EXPECT_EQ(ps.by_backend.begin()->second.calls(), ps.calls());
-  EXPECT_DOUBLE_EQ(ps.by_backend.begin()->second.flops(), ps.flops());
-  util::reset_adaptive_gemm_state();
-}
-
 TEST(GemmContext, TracksCallsFlopsAndDensity) {
   util::GemmContext ctx(*util::find_gemm_backend("scalar_ref"));
   const std::size_t m = 4, k = 8, n = 6;
@@ -311,6 +209,33 @@ TEST(GemmContext, TracksCallsFlopsAndDensity) {
   EXPECT_EQ(s.calls(), 4u);
   EXPECT_DOUBLE_EQ(s.at.density(), 1.0);
   EXPECT_DOUBLE_EQ(s.flops(), 2.0 * 4 * m * k * n);
+
+  // by_backend attributes every call to the backend that executed it: one
+  // slice matching the aggregate here ...
+  ASSERT_EQ(s.by_backend.size(), 1u);
+  EXPECT_EQ(s.by_backend.begin()->first, "scalar_ref");
+  EXPECT_EQ(s.by_backend.begin()->second.calls(), s.calls());
+  EXPECT_DOUBLE_EQ(s.by_backend.begin()->second.flops(), s.flops());
+
+  // ... and, after a backend switch, slices that sum exactly to it.
+  ctx.set_backend(*util::find_gemm_backend("blocked_omp"));
+  ctx.gemm(a.data(), b.data(), c.data(), m, k, n);
+  ctx.gemm_at(at.data(), b.data(), c.data(), m, k, n);
+  s = ctx.stats();
+  ASSERT_EQ(s.by_backend.size(), 2u);
+  const util::GemmOpBreakdown& ref = s.by_backend.at("scalar_ref");
+  const util::GemmOpBreakdown& blocked = s.by_backend.at("blocked_omp");
+  EXPECT_EQ(ref.calls(), 4u);
+  EXPECT_EQ(blocked.nn.calls, 1u);
+  EXPECT_EQ(blocked.at.calls, 1u);
+  EXPECT_EQ(blocked.bt.calls, 0u);
+  EXPECT_EQ(ref.calls() + blocked.calls(), s.calls());
+  EXPECT_EQ(ref.nn.calls + blocked.nn.calls, s.nn.calls);
+  EXPECT_DOUBLE_EQ(ref.flops() + blocked.flops(), s.flops());
+  EXPECT_DOUBLE_EQ(ref.nn.flops + blocked.nn.flops, s.nn.flops);
+  EXPECT_DOUBLE_EQ(ref.elements() + blocked.elements(), s.elements());
+  EXPECT_DOUBLE_EQ(ref.nonzeros() + blocked.nonzeros(), s.nonzeros());
+  ctx.set_backend(*util::find_gemm_backend("scalar_ref"));
 
   ctx.reset_stats();
   EXPECT_EQ(ctx.stats().calls(), 0u);

@@ -27,6 +27,7 @@
 #include "snn/quantize.h"
 #include "snn/serialize.h"
 #include "util/gemm.h"
+#include "util/gemm_internal.h"
 #include "util/quant.h"
 #include "util/rng.h"
 
@@ -101,6 +102,53 @@ const util::QuantizedGemmBackend& quant_backend(const char* name) {
       util::as_quantized_backend(util::find_gemm_backend(name));
   EXPECT_NE(qb, nullptr) << name;
   return *qb;
+}
+
+/// Test-local quantized backend over the spike kernel
+/// (util::internal::qgemm_spike_kernel), the LUT backends' bitwise
+/// reference. It runs through the same QuantizedGemmBackend wrapper (shape
+/// and bit-width checks, C zeroing) as the registered tier and, like it,
+/// delegates the float ops to blocked_omp.
+template <int kBits>
+class SpikeKernelBackend final : public util::QuantizedGemmBackend {
+ public:
+  [[nodiscard]] std::string_view name() const override {
+    return kBits == 8 ? "int8_spike_kernel" : "int4_spike_kernel";
+  }
+  [[nodiscard]] int weight_bits() const override { return kBits; }
+
+ protected:
+  void do_qgemm(const float* a, const util::QuantizedMatrix& q, float* c, std::size_t m,
+                std::size_t k, std::size_t n) const override {
+    util::internal::qgemm_spike_kernel(kBits, a, q, c, m, k, n);
+  }
+  void do_gemm(const float* a, const float* b, float* c, std::size_t m, std::size_t k,
+               std::size_t n) const override {
+    blocked().gemm(a, b, c, m, k, n, /*accumulate=*/true);
+  }
+  void do_gemm_at(const float* a, const float* b, float* c, std::size_t m,
+                  std::size_t k, std::size_t n) const override {
+    blocked().gemm_at(a, b, c, m, k, n, /*accumulate=*/true);
+  }
+  void do_gemm_bt(const float* a, const float* b, float* c, std::size_t m,
+                  std::size_t k, std::size_t n) const override {
+    blocked().gemm_bt(a, b, c, m, k, n, /*accumulate=*/true);
+  }
+
+ private:
+  static const util::GemmBackend& blocked() {
+    return *util::find_gemm_backend("blocked_omp");
+  }
+};
+
+const SpikeKernelBackend<8> kInt8SpikeKernel;
+const SpikeKernelBackend<4> kInt4SpikeKernel;
+
+/// Every quantized kernel under test: the spike kernel at both widths and
+/// the registered LUT backends.
+std::vector<const util::QuantizedGemmBackend*> quant_kernels() {
+  return {&kInt8SpikeKernel, &kInt4SpikeKernel, &quant_backend("int8_lut"),
+          &quant_backend("int4_lut")};
 }
 
 // ------------------------------------------------------------ spec & packing
@@ -310,8 +358,9 @@ TEST(QuantGemm, MatchesDequantizedProductBinarySpikes) {
   const std::size_t m = 9, k = 70, n = 13;  // spans multiple groups, odd n
   const std::vector<float> w = random_weights(n * k, 105);
   const std::vector<float> a = spike_matrix(m * k, 0.3, 0.0, 106);
-  for (const char* name : {"int8_spike", "int4_spike", "int8_lut", "int4_lut"}) {
-    const util::QuantizedGemmBackend& qb = quant_backend(name);
+  for (const util::QuantizedGemmBackend* kernel : quant_kernels()) {
+    const util::QuantizedGemmBackend& qb = *kernel;
+    const std::string name(qb.name());
     const util::QuantizedMatrix q =
         util::QuantizedMatrix::quantize(w.data(), n, k, {.bits = qb.weight_bits()});
     const std::vector<float> expected = dequantized_product(a, q, m, k, n);
@@ -328,8 +377,9 @@ TEST(QuantGemm, GradedSpikesTakeFloatFallback) {
   const std::size_t m = 5, k = 40, n = 8;
   const std::vector<float> w = random_weights(n * k, 107);
   const std::vector<float> a = spike_matrix(m * k, 0.5, 0.5, 108);
-  for (const char* name : {"int8_spike", "int4_spike", "int8_lut", "int4_lut"}) {
-    const util::QuantizedGemmBackend& qb = quant_backend(name);
+  for (const util::QuantizedGemmBackend* kernel : quant_kernels()) {
+    const util::QuantizedGemmBackend& qb = *kernel;
+    const std::string name(qb.name());
     const util::QuantizedMatrix q =
         util::QuantizedMatrix::quantize(w.data(), n, k, {.bits = qb.weight_bits()});
     const std::vector<float> expected = dequantized_product(a, q, m, k, n);
@@ -355,13 +405,14 @@ TEST(QuantGemm, BatchCompositionInvariant) {
   const std::size_t m = 6, k = 96, n = 10;
   const std::vector<float> w = random_weights(n * k, 109);
   const std::vector<float> a = spike_matrix(m * k, 0.4, 0.2, 110);
-  for (const char* name : {"int8_spike", "int4_spike", "int8_lut", "int4_lut"}) {
-    const util::QuantizedGemmBackend& qb = quant_backend(name);
+  for (const util::QuantizedGemmBackend* kernel : quant_kernels()) {
+    const util::QuantizedGemmBackend& qb = *kernel;
+    const std::string name(qb.name());
     util::QuantizedMatrix q =
         util::QuantizedMatrix::quantize(w.data(), n, k, {.bits = qb.weight_bits()});
     // Exercise the real cached-table path for the LUT backends (these small
     // batches would otherwise take their spike-kernel fallback).
-    if (qb.prefers_lut()) q.ensure_lut();
+    q.ensure_lut();
     std::vector<float> batched(m * n);
     qb.qgemm(a.data(), q, batched.data(), m, k, n);
     for (std::size_t i = 0; i < m; ++i) {
@@ -378,8 +429,9 @@ TEST(QuantGemm, DegenerateShapes) {
   const std::size_t k = 12, n = 6;
   const std::vector<float> w = random_weights(n * k, 111);
   const std::vector<float> a = spike_matrix(2 * k, 0.5, 0.0, 112);
-  for (const char* name : {"int8_spike", "int4_spike", "int8_lut", "int4_lut"}) {
-    const util::QuantizedGemmBackend& qb = quant_backend(name);
+  for (const util::QuantizedGemmBackend* kernel : quant_kernels()) {
+    const util::QuantizedGemmBackend& qb = *kernel;
+    const std::string name(qb.name());
     const util::QuantizedMatrix q =
         util::QuantizedMatrix::quantize(w.data(), n, k, {.bits = qb.weight_bits()});
 
@@ -408,23 +460,21 @@ TEST(QuantGemm, DegenerateShapes) {
 }
 
 /// The LUT backends' defining property: bit-for-bit the same output as the
-/// corresponding *_spike backend — integer group sums are exact, and the
-/// graded-spike / flush float ordering is unchanged — across spike mixes,
-/// awkward group sizes (chunk clipping), and all three table-sourcing paths:
-/// cached LUT, per-call build (large batches), and spike-kernel fallback
-/// (small batches without a cached table).
+/// spike kernel (util::internal::qgemm_spike_kernel) at the same width —
+/// integer group sums are exact, and the graded-spike / flush float ordering
+/// is unchanged — across spike mixes, awkward group sizes (chunk clipping),
+/// and all three table-sourcing paths: cached LUT, per-call build (large
+/// batches), and spike-kernel fallback (small batches without a cached
+/// table).
 TEST(QuantGemm, LutBitwiseMatchesSpikeBackends) {
   const std::size_t k = 70, n = 13;
   const std::vector<float> w = random_weights(n * k, 203);
   struct Mix {
     double density, graded;
   };
-  const std::vector<std::pair<const char*, const char*>> pairs{
-      {"int8_lut", "int8_spike"}, {"int4_lut", "int4_spike"}};
-  for (const auto& [lut_name, spike_name] : pairs) {
+  for (const char* lut_name : {"int8_lut", "int4_lut"}) {
     const util::QuantizedGemmBackend& lb = quant_backend(lut_name);
-    const util::QuantizedGemmBackend& sb = quant_backend(spike_name);
-    ASSERT_EQ(lb.weight_bits(), sb.weight_bits());
+    const int bits = lb.weight_bits();
     for (const std::size_t gs : {std::size_t{2}, std::size_t{5}, std::size_t{32}}) {
       util::QuantizedMatrix q = util::QuantizedMatrix::quantize(
           w.data(), n, k, {.bits = lb.weight_bits(), .group_size = gs});
@@ -437,15 +487,19 @@ TEST(QuantGemm, LutBitwiseMatchesSpikeBackends) {
             const std::vector<float> a = spike_matrix(
                 m * k, mix.density, mix.graded,
                 205 + m * 17 + gs + static_cast<std::size_t>(mix.density * 10));
-            std::vector<float> via_lut(m * n, -1.0f), via_spike(m * n, -2.0f);
+            // The kernel always accumulates: start its C from zero, as the
+            // backends' non-accumulating qgemm does.
+            std::vector<float> via_lut(m * n, -1.0f), via_spike(m * n, 0.0f);
             lb.qgemm(a.data(), q, via_lut.data(), m, k, n);
-            sb.qgemm(a.data(), q, via_spike.data(), m, k, n);
+            util::internal::qgemm_spike_kernel(bits, a.data(), q, via_spike.data(), m, k,
+                                               n);
             EXPECT_EQ(via_lut, via_spike)
                 << lut_name << " " << path << " gs=" << gs << " m=" << m
                 << " density=" << mix.density << " graded=" << mix.graded;
             // And with accumulation on top of an existing C.
             lb.qgemm(a.data(), q, via_lut.data(), m, k, n, /*accumulate=*/true);
-            sb.qgemm(a.data(), q, via_spike.data(), m, k, n, /*accumulate=*/true);
+            util::internal::qgemm_spike_kernel(bits, a.data(), q, via_spike.data(), m, k,
+                                               n);
             EXPECT_EQ(via_lut, via_spike)
                 << lut_name << " " << path << " accumulate gs=" << gs << " m=" << m;
           }
@@ -463,7 +517,7 @@ TEST(QuantGemm, LoudTypedErrors) {
   const std::vector<float> w = random_weights(n * k, 113);
   const std::vector<float> a = spike_matrix(m * k, 0.5, 0.0, 114);
   std::vector<float> c(m * n);
-  const util::QuantizedGemmBackend& int8 = quant_backend("int8_spike");
+  const util::QuantizedGemmBackend& int8 = quant_backend("int8_lut");
 
   const auto expect_kind = [](util::QuantizationError::Kind want, auto&& fn) {
     try {
@@ -500,7 +554,7 @@ TEST(QuantGemm, ContextRecordsQuantOpStats) {
       util::QuantizedMatrix::quantize(w.data(), n, k, {.bits = 8});
   std::vector<float> c(m * n);
 
-  util::GemmContext ctx(quant_backend("int8_spike"));
+  util::GemmContext ctx(quant_backend("int8_lut"));
   ctx.qgemm(a.data(), q, c.data(), m, k, n);
   const util::GemmStats stats = ctx.stats();
   EXPECT_EQ(stats.quant.calls, 1u);
@@ -519,7 +573,7 @@ TEST(QuantNetwork, UncalibratedAndMismatchedDispatchFailLoudly) {
 
   // Forcing a quantized backend on an uncalibrated network: the loud typed
   // failure a mis-set DTSNN_GEMM_BACKEND produces.
-  util::GemmContext int8_ctx(quant_backend("int8_spike"));
+  util::GemmContext int8_ctx(quant_backend("int8_lut"));
   e.net.set_gemm_context(&int8_ctx);
   try {
     engine.run(*e.bundle.test, request);
@@ -541,7 +595,7 @@ TEST(QuantNetwork, UncalibratedAndMismatchedDispatchFailLoudly) {
   }
 
   // Matching width runs.
-  util::GemmContext int4_ctx(quant_backend("int4_spike"));
+  util::GemmContext int4_ctx(quant_backend("int4_lut"));
   e.net.set_gemm_context(&int4_ctx);
   EXPECT_NO_THROW(engine.run(*e.bundle.test, request));
 
@@ -554,19 +608,30 @@ TEST(QuantNetwork, UncalibratedAndMismatchedDispatchFailLoudly) {
 
 /// End-to-end: dispatching a calibrated network through int4_lut produces
 /// decisions — predictions, exit timesteps, entropies, full logit
-/// trajectories — identical to int4_spike (the LUT tier is a pure speedup,
-/// bitwise-equal to the spike tier it accelerates). Also pins the layer-side
-/// hook: prefers_lut() makes the layers build the cached weight LUTs.
+/// trajectories — identical to the spike kernel it accelerates (the LUT tier
+/// is a pure speedup, bitwise-equal to it). Also pins the layer-side hook:
+/// every quantized dispatch builds the layer's cached weight LUT.
 TEST(QuantNetwork, LutBackendDecisionsMatchSpikeBackend) {
   core::Experiment e = micro_experiment("sync10", 3);
   ASSERT_GT(snn::quantize_network_weights(e.net, {.bits = 4}), 0u);
+  const auto lut_layers = [&] {
+    std::size_t quantized = 0, cached = 0;
+    e.net.visit([&](snn::Layer& layer) {
+      if (const auto* holder = dynamic_cast<snn::QuantizedWeightHolder*>(&layer)) {
+        quantized += holder->quantized_weights().empty() ? 0 : 1;
+        cached += holder->quantized_weights().has_lut() ? 1 : 0;
+      }
+    });
+    return std::pair{quantized, cached};
+  };
+  EXPECT_EQ(lut_layers().second, 0u);  // calibration alone builds no tables
   const core::EntropyExitPolicy policy(0.35);
   core::InferenceRequest request = core::InferenceRequest::first_n(
       std::min<std::size_t>(16, e.bundle.test->size()));
   request.record_logits = true;
   core::BatchedSequentialEngine engine(e.net, policy, 3, /*batch_size=*/4);
 
-  util::GemmContext spike_ctx(quant_backend("int4_spike"));
+  util::GemmContext spike_ctx(kInt4SpikeKernel);
   e.net.set_gemm_context(&spike_ctx);
   const auto via_spike = engine.run(*e.bundle.test, request);
 
@@ -590,6 +655,10 @@ TEST(QuantNetwork, LutBackendDecisionsMatchSpikeBackend) {
   // The quant-op accounting lands on the LUT context like any other backend.
   EXPECT_GT(lut_ctx.stats().quant.calls, 0u);
   EXPECT_EQ(lut_ctx.stats().quant.calls, spike_ctx.stats().quant.calls);
+  // Every quantized layer now holds its cached table.
+  const auto [quantized, cached] = lut_layers();
+  EXPECT_GT(quantized, 0u);
+  EXPECT_EQ(cached, quantized);
 }
 
 // ------------------------------------------------------------ tolerance gate
@@ -661,8 +730,8 @@ TEST(QuantCheckpoint, RoundTripCarriesQuantizedState) {
   const core::EntropyExitPolicy policy(0.35);
   const core::InferenceRequest request = core::InferenceRequest::first_n(
       std::min<std::size_t>(16, e.bundle.test->size()));
-  util::GemmContext ctx_a(quant_backend("int4_spike"));
-  util::GemmContext ctx_b(quant_backend("int4_spike"));
+  util::GemmContext ctx_a(quant_backend("int4_lut"));
+  util::GemmContext ctx_b(quant_backend("int4_lut"));
   e.net.set_gemm_context(&ctx_a);
   restored.set_gemm_context(&ctx_b);
   core::BatchedSequentialEngine engine_a(e.net, policy, 3, 4);
@@ -728,13 +797,13 @@ TEST(QuantServer, RefusesUncalibratedNetworkAtConstruction) {
   core::Experiment e = micro_experiment("sync10", 3);
   const core::EntropyExitPolicy policy(0.35);
   serve::FleetModel model = fleet_model(e, policy);
-  model.gemm_backend = "int8_spike";
+  model.gemm_backend = "int8_lut";
   try {
     serve::ServingFleet fleet({model});
     FAIL() << "uncalibrated network must be rejected at construction";
   } catch (const util::QuantizationError& err) {
     EXPECT_EQ(err.kind(), util::QuantizationError::Kind::kUncalibrated);
-    EXPECT_NE(std::string(err.what()).find("int8_spike"), std::string::npos)
+    EXPECT_NE(std::string(err.what()).find("int8_lut"), std::string::npos)
         << err.what();
   }
   // Unknown backend names still fail with the registry's invalid_argument.
@@ -755,7 +824,7 @@ TEST(QuantServer, ServesQuantizedTierMatchingOfflineEngine) {
       std::min<std::size_t>(16, e.bundle.test->size()));
   std::vector<core::InferenceResult> offline;
   {
-    util::GemmContext ctx(quant_backend("int8_spike"));
+    util::GemmContext ctx(quant_backend("int8_lut"));
     e.net.set_gemm_context(&ctx);
     core::BatchedSequentialEngine engine(e.net, policy, 3, /*batch_size=*/4);
     offline = engine.run(*e.bundle.test, request);
@@ -763,10 +832,10 @@ TEST(QuantServer, ServesQuantizedTierMatchingOfflineEngine) {
   }
 
   serve::FleetModel model = fleet_model(e, policy);
-  model.gemm_backend = "int8_spike";
+  model.gemm_backend = "int8_lut";
   model.max_pool = 3;
   serve::ServingFleet fleet({model});
-  EXPECT_EQ(fleet.model_gemm_backend(0), "int8_spike");
+  EXPECT_EQ(fleet.model_gemm_backend(0), "int8_lut");
   serve::FleetRequest sreq;
   sreq.request = request;
   const std::vector<core::InferenceResult> served =
