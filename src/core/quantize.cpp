@@ -120,6 +120,7 @@ QuantCalibrationReport calibrate_quantized(snn::SpikingNetwork& net,
     quant = engine.run(dataset, request);
   }
 
+  report.lut_bytes = snn::network_quant_footprint(net).lut_bytes;
   report.diff = compare_decisions(oracle, quant);
   report.accuracy_float = accuracy_of(oracle, dataset);
   report.accuracy_quant = accuracy_of(quant, dataset);

@@ -68,9 +68,13 @@ struct QuantCalibrationReport {
   std::size_t float_weight_bytes = 0;
   std::size_t quant_weight_bytes = 0;  ///< packed integer codes
   std::size_t scale_bytes = 0;
-  /// float_weight_bytes / quant_weight_bytes: the per-spike weight-traffic
-  /// reduction (scales are touched once per group per output and reported
-  /// separately).
+  /// Spike-mask tables the quantized run left cached on the layers (8 bytes
+  /// per weight; copies of the network share them).
+  std::size_t lut_bytes = 0;
+  /// float_weight_bytes / quant_weight_bytes: how much smaller the packed
+  /// codes are than the float weights (4x INT8, 8x INT4). Not the resident
+  /// saving: with scales and lut_bytes counted the quantized side is larger
+  /// than the float weights, which stay resident beside it.
   double footprint_ratio = 0.0;
   bool within_tolerance = false;
 };

@@ -63,6 +63,7 @@ QuantFootprint network_quant_footprint(SpikingNetwork& net) {
       ++fp.quantized_layers;
       fp.packed_bytes += q.packed_bytes();
       fp.scale_bytes += q.scale_bytes();
+      fp.lut_bytes += q.lut_bytes();
     }
   });
   return fp;

@@ -59,6 +59,7 @@ struct QuantFootprint {
   std::size_t float_bytes = 0;   ///< all holders' float weights
   std::size_t packed_bytes = 0;  ///< quantized integer codes
   std::size_t scale_bytes = 0;   ///< group scales
+  std::size_t lut_bytes = 0;     ///< cached spike-mask tables (int8_lut/int4_lut)
   std::size_t layers = 0;            ///< weight-bearing layers
   std::size_t quantized_layers = 0;  ///< of which calibrated
 };

@@ -173,8 +173,13 @@ QuantLut build_spike_lut(const QuantizedMatrix& q) {
 }
 
 void QuantizedMatrix::ensure_lut() {
-  if (!lut_.empty() || empty()) return;
-  lut_ = build_spike_lut(*this);
+  if (has_lut() || empty()) return;
+  lut_ = std::make_shared<const QuantLut>(build_spike_lut(*this));
+}
+
+const QuantLut& QuantizedMatrix::lut() const {
+  static const QuantLut kNoLut;
+  return has_lut() ? *lut_ : kNoLut;
 }
 
 int QuantizedMatrix::q(std::size_t j, std::size_t kk) const {

@@ -30,11 +30,21 @@
 // "these positions spiked", the table stores the per-output-column sum of the
 // selected integer codes. The LUT is pure derived data — rebuilt on demand
 // via ensure_lut(), never serialized, dropped by from_raw/quantize.
+//
+// Memory: the table holds 16 int16 entries per 4 k positions per output
+// column, i.e. 8 bytes per weight — twice the float weights and 8x (INT8) /
+// 16x (INT4) the packed codes. The quantized layers cache it on every
+// quantized dispatch, so the resident quantized side of a layer is codes +
+// scales + table (footprint_bytes()), about 2.2x its float weights; only the
+// packed codes are 4x / 8x smaller than float. Copies of a matrix share one
+// immutable table, so replicas made by copying a LUT'd network (serving
+// workers, parallel evaluation) do not multiply it.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -164,9 +174,13 @@ class QuantizedMatrix {
   [[nodiscard]] std::size_t scale_bytes() const {
     return scales_.size() * sizeof(float);
   }
-  /// Total resident footprint (codes + scales).
+  /// Size of the cached spike-mask table (0 until ensure_lut() runs). Copies
+  /// share one table, so each of them reports it.
+  [[nodiscard]] std::size_t lut_bytes() const { return has_lut() ? lut_->bytes() : 0; }
+  /// Resident quantized-side footprint: codes + scales + cached table. This is
+  /// what a layer running int8_lut/int4_lut holds beside its float weights.
   [[nodiscard]] std::size_t footprint_bytes() const {
-    return packed_bytes() + scale_bytes();
+    return packed_bytes() + scale_bytes() + lut_bytes();
   }
   /// Footprint of the float weights this matrix replaces.
   [[nodiscard]] std::size_t float_bytes() const {
@@ -175,12 +189,12 @@ class QuantizedMatrix {
 
   /// Build the spike-mask LUT if not already built (no-op on an empty or
   /// already-LUT'd matrix). Not synchronized: call from single-threaded layer
-  /// dispatch, like the layers' cached weight transposes. The LUT is derived
-  /// data — copies carry it, serialization does not.
+  /// dispatch, like the layers' cached weight transposes. The LUT is derived,
+  /// immutable data — copies share it, serialization does not carry it.
   void ensure_lut();
-  [[nodiscard]] bool has_lut() const { return !lut_.empty(); }
+  [[nodiscard]] bool has_lut() const { return lut_ != nullptr; }
   /// The spike-mask LUT; empty() unless ensure_lut() ran.
-  [[nodiscard]] const QuantLut& lut() const { return lut_; }
+  [[nodiscard]] const QuantLut& lut() const;
 
  private:
   std::size_t out_ = 0;
@@ -191,7 +205,7 @@ class QuantizedMatrix {
   std::size_t row_stride_ = 0;
   std::vector<std::uint8_t> data_;
   std::vector<float> scales_;
-  QuantLut lut_;
+  std::shared_ptr<const QuantLut> lut_;
 };
 
 /// Build a QuantLut for `q` without caching it on the matrix — the LUT

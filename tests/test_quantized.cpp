@@ -151,6 +151,17 @@ std::vector<const util::QuantizedGemmBackend*> quant_kernels() {
           &quant_backend("int4_lut")};
 }
 
+/// The network's quantizable layers, in visit order.
+std::vector<snn::QuantizedWeightHolder*> quant_holders(snn::SpikingNetwork& net) {
+  std::vector<snn::QuantizedWeightHolder*> holders;
+  net.visit([&](snn::Layer& layer) {
+    if (auto* holder = dynamic_cast<snn::QuantizedWeightHolder*>(&layer)) {
+      holders.push_back(holder);
+    }
+  });
+  return holders;
+}
+
 // ------------------------------------------------------------ spec & packing
 
 TEST(QuantSpec, ValidatesAndResolvesGroupSize) {
@@ -350,6 +361,30 @@ TEST(QuantLut, EnsureLutCachesOnceAndSkipsEmpty) {
   util::QuantizedMatrix uncalibrated;
   uncalibrated.ensure_lut();
   EXPECT_FALSE(uncalibrated.has_lut());
+}
+
+/// The cached table is counted in the resident footprint — 16 int16 entries
+/// per 4 k positions per column, i.e. twice the float weights — and copies
+/// share it instead of duplicating it.
+TEST(QuantLut, CachedTableIsCountedAndSharedByCopies) {
+  const std::size_t out = 6, in = 64;
+  const std::vector<float> w = random_weights(out * in, 203);
+  util::QuantizedMatrix q = util::QuantizedMatrix::quantize(w.data(), out, in, {.bits = 8});
+  const util::QuantizedMatrix before = q;
+  EXPECT_EQ(q.lut_bytes(), 0u);
+  EXPECT_EQ(q.footprint_bytes(), q.packed_bytes() + q.scale_bytes());
+
+  q.ensure_lut();
+  EXPECT_EQ(q.lut_bytes(), (in / util::kLutChunkWidth) * util::kLutMaskCount * out *
+                               sizeof(std::int16_t));
+  EXPECT_EQ(q.lut_bytes(), 2 * q.float_bytes());
+  EXPECT_EQ(q.footprint_bytes(), q.packed_bytes() + q.scale_bytes() + q.lut_bytes());
+  EXPECT_GT(q.footprint_bytes(), q.float_bytes());
+
+  const util::QuantizedMatrix copy = q;
+  ASSERT_TRUE(copy.has_lut());
+  EXPECT_EQ(copy.lut().table.data(), q.lut().table.data());
+  EXPECT_FALSE(before.has_lut());  // a copy taken earlier does not gain it
 }
 
 // ------------------------------------------------------------------- kernels
@@ -699,9 +734,12 @@ TEST(QuantToleranceGate, AllPresetsPoliciesAndWidths) {
         EXPECT_LE(std::abs(report.accuracy_delta), config.accuracy_delta_tolerance)
             << tag;
         EXPECT_TRUE(report.within_tolerance) << tag;
-        // Weight-footprint reductions: exact 4x / 8x on these even-out models.
+        // Packed codes: exact 4x / 8x smaller on these even-out models.
         EXPECT_GE(report.footprint_ratio, bits == 8 ? 4.0 : 8.0) << tag;
         EXPECT_GT(report.scale_bytes, 0u) << tag;
+        // The quantized run leaves each layer's table cached: at least twice
+        // the float weights (more where chunks clip at group edges).
+        EXPECT_GE(report.lut_bytes, 2 * report.float_weight_bytes) << tag;
       }
     }
   }
@@ -774,6 +812,29 @@ TEST(QuantCheckpoint, CopyNetworkStateMirrorsQuantizedWeights) {
   const snn::QuantFootprint fr = snn::network_quant_footprint(replica);
   EXPECT_EQ(fs.packed_bytes, fr.packed_bytes);
   EXPECT_EQ(fs.quantized_layers, fr.quantized_layers);
+
+  EXPECT_EQ(fr.lut_bytes, 0u);
+
+  // Cached tables ride along shared, not duplicated, so serving replicas of
+  // a network that already ran the quantized tier hold one table set.
+  for (snn::QuantizedWeightHolder* holder : quant_holders(src)) {
+    util::QuantizedMatrix q = holder->quantized_weights();
+    q.ensure_lut();
+    holder->set_quantized_weights(std::move(q));
+  }
+  snn::copy_network_state(src, replica);
+  const std::vector<snn::QuantizedWeightHolder*> src_holders = quant_holders(src);
+  const std::vector<snn::QuantizedWeightHolder*> replica_holders = quant_holders(replica);
+  ASSERT_EQ(src_holders.size(), replica_holders.size());
+  for (std::size_t i = 0; i < src_holders.size(); ++i) {
+    ASSERT_TRUE(replica_holders[i]->quantized_weights().has_lut()) << i;
+    EXPECT_EQ(replica_holders[i]->quantized_weights().lut().table.data(),
+              src_holders[i]->quantized_weights().lut().table.data())
+        << i;
+  }
+  EXPECT_GT(snn::network_quant_footprint(replica).lut_bytes, 0u);
+  EXPECT_EQ(snn::network_quant_footprint(replica).lut_bytes,
+            snn::network_quant_footprint(src).lut_bytes);
 
   // And copying from an uncalibrated source clears the replica again.
   snn::SpikingNetwork plain = snn::make_model("vgg_micro", snn::ModelConfig{});
